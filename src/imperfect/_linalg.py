@@ -3,12 +3,15 @@
 Matrices are lists of rows; rows are lists of elements supporting
 +, -, *, /, unary -, and truthiness (nonzero test). Systems here are
 small (at most a few dozen rows/columns), so plain fraction-reducing
-Gaussian elimination is the right tool.
+Gaussian elimination is the right tool. A span that answers many
+membership queries is eliminated once, in ColumnSpace.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
+
+from .field import RatFunc, exact_div, poly_gcd
 
 
 def _weight(x) -> int:
@@ -19,12 +22,17 @@ def _weight(x) -> int:
         return 1
 
 
-def _rref(rows: List[list]) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot column indices."""
+def _rref(rows: List[list], ncols: Optional[int] = None) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form (in place on a copy) and pivot column indices.
+
+    Pivots are sought among the first `ncols` columns only (all by default);
+    the remaining columns are carried along by the row operations.
+    """
     m = [list(r) for r in rows]
     if not m:
         return m, []
-    ncols = len(m[0])
+    if ncols is None:
+        ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -45,7 +53,7 @@ def _rref(rows: List[list]) -> Tuple[List[list], List[int]]:
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -76,8 +84,6 @@ def _rank_bareiss(mat: List[list]) -> int:
     is a minor of the input, so the division by the previous pivot is exact.
     Rows below the current one only keep the columns still in play.
     """
-    from .field import exact_div
-
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -129,27 +135,6 @@ def rank(rows: List[list]) -> int:
     return len(pivots)
 
 
-def solve(rows: List[list], rhs: list, field) -> Optional[list]:
-    """One solution x of rows @ x = rhs, or None when inconsistent.
-
-    Free variables are set to zero. `field` supplies zero()/one().
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
-    for i in range(len(red)):
-        if not any(red[i][:ncols]) and red[i][ncols]:
-            return None
-    x = [field.zero() for _ in range(ncols)]
-    for i, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[c] = red[i][ncols]
-    return x
-
-
 def nullspace(rows: List[list], field) -> List[list]:
     """Basis of the right kernel of the matrix."""
     if not rows:
@@ -167,16 +152,95 @@ def nullspace(rows: List[list], field) -> List[list]:
     return basis
 
 
-def in_column_space(columns: List[list], target: list, field) -> Optional[list]:
-    """Coefficients expressing target as a combination of the columns, or None."""
-    if not columns:
-        return [] if not any(target) else None
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    return solve(rows, target, field)
-
-
 def columns_independent(columns: Sequence[list]) -> bool:
     if not columns:
         return True
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
     return rank(rows) == len(columns)
+
+
+class ColumnSpace:
+    """The span of a fixed list of columns, eliminated once and queried often.
+
+    The constructor row-reduces [columns^T | I_w] a single time, which gives
+    rows R = E * columns^T in reduced echelon form with pivot columns P.
+    Then for a vector b of the column length:
+      - b lies in the span iff b = sum_i b[P_i] * R_i, which only needs
+        checking off the pivots;
+      - x = E^T * b[P] solves columns @ x = b.
+    Both are kept as dot products with polynomial rows (each row of the
+    identity scaled by the lcm of its denominators), so a query on a
+    polynomial b (see pbasis.lambda_numerators) runs no gcd until the one
+    division per solution entry. `ok` records whether the columns are
+    linearly independent, in which case that solution is the unique one.
+    Entries are RatFuncs over the context `field`.
+    """
+
+    def __init__(self, columns: Sequence[list], field):
+        w = len(columns)
+        n = len(columns[0]) if columns else 0
+        zero, one = field.zero(), field.one()
+        aug = [
+            list(col) + [one if j == i else zero for j in range(w)]
+            for i, col in enumerate(columns)
+        ]
+        red, pivots = _rref(aug, n)
+        self.ok = len(pivots) == w
+        self._field = field
+        self._empty = not w
+        # checks: L_j * b[j] - sum_i L_j * R_i[j] * b[P_i] = 0 for each free column j
+        self._checks = []
+        for j in range(n):
+            if j not in pivots:
+                lcm, terms = _cleared(field, [(c, -row[j]) for c, row in zip(pivots, red)])
+                terms.append((j, _as_ratfunc(field, lcm)))
+                self._checks.append(terms)
+        # solution entry k: x_k = sum_i M_k * E_i[k] * b[P_i] / M_k
+        self._solution = [
+            _cleared(field, [(c, row[n + k]) for c, row in zip(pivots, red)])
+            for k in range(w)
+        ]
+
+    def contains(self, b: Sequence) -> bool:
+        if self._empty:  # the span of no columns is {0}
+            return not any(b)
+        zero = self._field.zero()
+        return all(not _dot(terms, b, zero) for terms in self._checks)
+
+    def solve(self, b: Sequence, den) -> Optional[list]:
+        """Coefficients expressing b / den in the columns, or None when outside.
+
+        `den` is the nonzero polynomial that the queried vector was scaled by.
+        """
+        if not self.contains(b):
+            return None
+        out = []
+        for lcm, terms in self._solution:
+            acc = _dot(terms, b, self._field.zero())
+            lcm = lcm * den
+            out.append(acc if lcm.is_one() or not acc else
+                       RatFunc(self._field, acc.num, acc.den * lcm))
+        return out
+
+
+def _as_ratfunc(field, f):
+    return RatFunc(field, f, field.const_poly(1), reduce=False)
+
+
+def _cleared(field, entries):
+    """The lcm L of the entries' denominators, and the nonzero entries times L."""
+    lcm = field.const_poly(1)
+    for _, e in entries:
+        if e and not e.den.is_one():
+            lcm = lcm * exact_div(e.den, poly_gcd(lcm, e.den))
+    terms = [
+        (k, _as_ratfunc(field, e.num * exact_div(lcm, e.den))) for k, e in entries if e
+    ]
+    return lcm, terms
+
+
+def _dot(terms, b, acc):
+    for k, c in terms:
+        if b[k]:
+            acc = acc + c * b[k]
+    return acc

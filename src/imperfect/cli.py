@@ -17,6 +17,8 @@ from . import pbasis
 from .field import Context, FieldError, ParseError, parse_element, render_element
 from .presets import Bundle, preset_names
 from .rank1 import Mat2, bruhat2, Cell, membership_sl2L, perfectness_witness
+from .reconstruct import (ReconstructError, c2_recover, g2_recover, make_c2_oracle,
+                          make_g2_oracle, negative_control, verify_recovery)
 from .tower import (InvariantViolation, SpecError, validate_indifferent,
                     validate_tower)
 from .unipotent import (TorusElement2, c2_full_datum, center_member, commutator,
@@ -234,9 +236,6 @@ def _cmd_sp4(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .reconstruct import (c2_recover, g2_recover, make_c2_oracle,
-                              make_g2_oracle, negative_control, verify_recovery)
-
     b = _bundle(args)
     datum = b.g2() if args.kind == "g2" else b.c2()
     if args.corrupt:
@@ -398,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing config: {e}", file=sys.stderr)
         return 1
-    except (SpecError, FieldError, InvariantViolation) as e:
+    except (SpecError, FieldError, InvariantViolation, ReconstructError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

@@ -61,6 +61,29 @@ def _undefined(ctx: Context, length: int) -> LambdaCoords:
     return LambdaCoords(tuple([ctx.zero()] * length), False)
 
 
+def lambda_numerators(b: RatFunc) -> List[RatFunc]:
+    """lambda_ambient(b) scaled by b.den: polynomial entries, made without any gcd.
+
+    The scaling changes no answer about membership in a K-span.
+    """
+    ctx = b.ctx
+    p = ctx.p
+    N = b.num
+    for _ in range(p - 1):
+        N = N * b.den
+    buckets = {}
+    for exps, c in N.terms.items():
+        residue = tuple(e % p for e in exps)
+        quotient = tuple(e // p for e in exps)
+        buckets.setdefault(residue, {})[quotient] = c
+    one = ctx.const_poly(1)
+    return [
+        RatFunc(ctx, SparsePoly(ctx, buckets.get(monomial_exponents(p, ctx.n, i), {})), one,
+                reduce=False)
+        for i in range(p ** ctx.n)
+    ]
+
+
 def lambda_ambient(b: RatFunc) -> List[RatFunc]:
     """Coordinates of b relative to the ambient variable p-basis (x_1, ..., x_n).
 
@@ -70,26 +93,7 @@ def lambda_ambient(b: RatFunc) -> List[RatFunc]:
     fixed by the p-th power map.
     """
     ctx = b.ctx
-    p = ctx.p
-    n = ctx.n
-    den = b.den
-    N = b.num
-    for _ in range(p - 1):
-        N = N * den
-    buckets = {}
-    for exps, c in N.terms.items():
-        residue = tuple(e % p for e in exps)
-        quotient = tuple(e // p for e in exps)
-        buckets.setdefault(residue, {})[quotient] = c
-    out = []
-    for i in range(p ** n):
-        residue = monomial_exponents(p, n, i)
-        terms = buckets.get(residue)
-        if terms is None:
-            out.append(ctx.zero())
-        else:
-            out.append(RatFunc(ctx, SparsePoly(ctx, terms), den))
-    return out
+    return [RatFunc(ctx, c.num, b.den) if c else ctx.zero() for c in lambda_numerators(b)]
 
 
 def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = None) -> LambdaCoords:
@@ -100,11 +104,11 @@ def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = Non
         ctx = a[0].ctx
     m = len(a)
     size = ctx.p ** m
-    if not is_p_independent(a, ctx=ctx):
+    if m > ctx.n or any(x.is_zero() for x in a):
         return _undefined(ctx, size)
-    columns = [lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)]
-    target = lambda_ambient(b)
-    sol = _linalg.in_column_space(columns, target, ctx)
+    # a is p-independent exactly when its p-monomial columns are independent
+    space = _linalg.ColumnSpace([lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)], ctx)
+    sol = space.solve(lambda_numerators(b), b.den) if space.ok else None
     if sol is None:
         return _undefined(ctx, size)
     return LambdaCoords(tuple(sol), True)

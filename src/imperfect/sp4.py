@@ -180,14 +180,15 @@ def torus_coords(g: Mat4) -> Tuple[RatFunc, RatFunc]:
 # unipotent normal forms as matrices
 # ---------------------------------------------------------------------------
 
-_FULL_DATA: Dict[int, RootDatum2] = {}
+# keyed by the context's value, so equal contexts share one datum and
+# their UElements compare equal
+_FULL_DATA: Dict[Context, RootDatum2] = {}
 
 
 def full_datum(ctx: Context) -> RootDatum2:
-    key = id(ctx)
-    if key not in _FULL_DATA:
-        _FULL_DATA[key] = c2_full_datum(ctx)
-    return _FULL_DATA[key]
+    if ctx not in _FULL_DATA:
+        _FULL_DATA[ctx] = c2_full_datum(ctx)
+    return _FULL_DATA[ctx]
 
 
 def u_to_mat(u: UElement) -> Mat4:

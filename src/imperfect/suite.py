@@ -20,6 +20,7 @@ from .presets import Bundle
 from .rank1 import (TimmesfeldData, bruhat2, factor_codim1, field_structure,
                     gen, mult_bruhat, perfectness_witness, rand_L_element,
                     rand_L_word, torus_membership)
+from .reconstruct import ReconstructError
 from .tower import SpecError, validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, commutator, torus_act, u_inverse,
                         u_mult, u_mult_alt, z2_member, center_member)
@@ -478,7 +479,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
             report.checks.append(SuiteCheck(name, "fail", f.detail, f.counterexample))
         except _Unknown as u:
             report.checks.append(SuiteCheck(name, "unknown", u.detail))
-        except (SpecError, FieldError, AssertionError) as e:
+        except (SpecError, FieldError, ReconstructError, AssertionError) as e:
             report.checks.append(SuiteCheck(name, "fail", f"unexpected error: {e}"))
         else:
             report.checks.append(SuiteCheck(name, "pass"))

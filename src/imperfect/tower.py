@@ -26,7 +26,7 @@ from .pbasis import (
     LambdaCoords,
     is_p_independent,
     lambda_ambient,
-    lambda_coords,
+    lambda_numerators,
     p_monomial,
     reconstruct,
 )
@@ -58,31 +58,27 @@ class SubfieldSpec:
         self.ctx = ctx
         if any(g.is_zero() for g in self.gens):
             raise SpecError("zero generator", name)
-        if not is_p_independent(self.gens, ctx=ctx):
+        if len(self.gens) > ctx.n:
             raise SpecError("generators are not p-independent", name)
-        self._columns = None
+        columns = [lambda_ambient(p_monomial(ctx, l, self.gens)) for l in range(self.dim_over_p)]
+        # one elimination both validates the generators and answers every query
+        self._space = _linalg.ColumnSpace(columns, ctx)
+        if not self._space.ok:
+            raise SpecError("generators are not p-independent", name)
 
     @property
     def dim_over_p(self) -> int:
         """[K^p[gens] : K^p] = p^(number of generators)."""
         return self.ctx.p ** len(self.gens)
 
-    def _member_columns(self) -> List[List[RatFunc]]:
-        if self._columns is None:
-            self._columns = [
-                lambda_ambient(p_monomial(self.ctx, l, self.gens))
-                for l in range(self.dim_over_p)
-            ]
-        return self._columns
-
     def member(self, x: RatFunc) -> Optional[LambdaCoords]:
-        sol = _linalg.in_column_space(self._member_columns(), lambda_ambient(x), self.ctx)
+        sol = self._space.solve(lambda_numerators(x), x.den)
         if sol is None:
             return None
         return LambdaCoords(tuple(sol), True)
 
     def contains(self, x: RatFunc) -> bool:
-        return self.member(x) is not None
+        return self._space.contains(lambda_numerators(x))
 
     def rand_element(
         self, rng: random.Random, nonzero: bool = False, max_deg: int = 1, max_terms: int = 2
@@ -104,10 +100,6 @@ class SubfieldSpec:
         return f"{self.name}=K^{self.ctx.p}[{inside}]"
 
 
-def subfield_member(x: RatFunc, F: SubfieldSpec) -> Optional[LambdaCoords]:
-    return F.member(x)
-
-
 class RSpaceSpec:
     """The span of `basis` over a subfield; 1 must lie in the basis."""
 
@@ -126,25 +118,22 @@ class RSpaceSpec:
             raise SpecError("empty basis", name)
         if require_one and not any(b.is_one() for b in self.basis):
             raise SpecError("basis does not contain 1", name)
-        self._columns = None
-        if not self._basis_independent():
+        w = over.dim_over_p
+        if len(self.basis) * w > self.ctx.p ** self.ctx.n:
             raise SpecError("basis is not linearly independent over the scalar field", name)
-
-    def _member_columns(self) -> List[List[RatFunc]]:
-        if self._columns is None:
-            cols = []
-            for b in self.basis:
-                for l in range(self.over.dim_over_p):
-                    cols.append(lambda_ambient(p_monomial(self.ctx, l, self.over.gens) * b))
-            self._columns = cols
-        return self._columns
-
-    def _basis_independent(self) -> bool:
-        return _linalg.columns_independent(self._member_columns())
+        self._columns = [
+            lambda_ambient(p_monomial(self.ctx, l, over.gens) * b)
+            for b in self.basis
+            for l in range(w)
+        ]
+        # one elimination both validates the basis and answers every query
+        self._space = _linalg.ColumnSpace(self._columns, self.ctx)
+        if not self._space.ok:
+            raise SpecError("basis is not linearly independent over the scalar field", name)
 
     def member(self, x: RatFunc) -> Optional[List[RatFunc]]:
         """Scalar-field coordinates of x in the basis, or None."""
-        sol = _linalg.in_column_space(self._member_columns(), lambda_ambient(x), self.ctx)
+        sol = self._space.solve(lambda_numerators(x), x.den)
         if sol is None:
             return None
         w = self.over.dim_over_p
@@ -155,7 +144,7 @@ class RSpaceSpec:
         return coords
 
     def contains(self, x: RatFunc) -> bool:
-        return self.member(x) is not None
+        return self._space.contains(lambda_numerators(x))
 
     def evaluate(self, coords: Sequence[RatFunc]) -> RatFunc:
         acc = self.ctx.zero()
@@ -176,10 +165,6 @@ class RSpaceSpec:
     def __repr__(self):
         inside = ", ".join(render_element(b) for b in self.basis)
         return f"{self.name}=span_{{{self.over.name}}}{{{inside}}}"
-
-
-def rspace_member(x: RatFunc, R: RSpaceSpec) -> Optional[List[RatFunc]]:
-    return R.member(x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +225,7 @@ def _stabilizer_vectors(R: RSpaceSpec) -> List[List[RatFunc]]:
     """
     ctx = R.ctx
     size = ctx.p ** ctx.n
-    wcols = R._member_columns()
+    wcols = R._columns
     w = len(wcols)
     nbasis = len(R.basis)
     vars_gens = ctx.gens()
@@ -363,12 +348,9 @@ def validate_tower(
         vecs = _stabilizer_vectors(R)
         dim_d = len(vecs)
         want = F.dim_over_p
+        stab = _linalg.ColumnSpace(vecs, ctx)
         contained = dim_d > 0 and all(
-            _linalg.in_column_space(
-                vecs, lambda_ambient(p_monomial(ctx, l, F.gens)), ctx
-            )
-            is not None
-            for l in range(want)
+            stab.contains(lambda_numerators(p_monomial(ctx, l, F.gens))) for l in range(want)
         )
         report.add(
             f"{tag}.stabilizer",

@@ -1,8 +1,10 @@
 import json
 
+from imperfect import cli, suite
 from imperfect.cli import main
 from imperfect.field import parse_element
 from imperfect.presets import Bundle, write_preset
+from imperfect.reconstruct import ReconstructError
 
 
 def run(capsys, *argv):
@@ -270,6 +272,28 @@ def test_suite_run_unknown_warns(capsys):
     payload = json.loads(out)
     undecided = [c["name"] for c in payload["checks"] if c["status"] == "unknown"]
     assert undecided == ["rank1.torus-membership"]
+
+
+def test_suite_records_reconstruct_error_as_failure(monkeypatch):
+    def broken(cfg, rng, inst):
+        raise ReconstructError("pairing fails linearity on the first slot")
+
+    monkeypatch.setattr(suite, "_instances", lambda cfg: {})
+    monkeypatch.setattr(suite, "_CHECKS", {"a.broken": broken, "b.fine": lambda *args: None})
+    rep = suite.run_suite(suite.SuiteConfig(seed=0))
+    assert [(c.name, c.status) for c in rep.checks] == [("a.broken", "fail"), ("b.fine", "pass")]
+    assert rep.checks[0].detail == "unexpected error: pairing fails linearity on the first slot"
+
+
+def test_reconstruct_error_is_exit_one(monkeypatch, capsys):
+    def broken(oracle):
+        raise ReconstructError("designated elements must be nontrivial")
+
+    monkeypatch.setattr(cli, "g2_recover", broken)
+    code, out, err = run(capsys, "reconstruct", "g2", "--config", "g2", "--samples", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: designated elements must be nontrivial\n"
 
 
 def test_suite_determinism(tmp_path, capsys):

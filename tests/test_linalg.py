@@ -1,0 +1,230 @@
+"""ColumnSpace against a fresh elimination per query.
+
+`in_column_space` below is the per-query Gaussian elimination that the
+package used before ColumnSpace; it stays here as the differential oracle.
+"""
+
+import random
+
+import pytest
+
+from imperfect import _linalg
+from imperfect._linalg import ColumnSpace
+from imperfect.field import Context, frobenius
+from imperfect.pbasis import LambdaCoords, lambda_ambient, lambda_coords, p_monomial, reconstruct
+from imperfect.tower import RSpaceSpec, SpecError, SubfieldSpec
+
+NAMES = ("s", "t", "v")
+CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+
+def solve(rows, rhs, field):
+    """One solution x of rows @ x = rhs with free variables zero, or None."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = _linalg._rref(aug)
+    for i in range(len(red)):
+        if not any(red[i][:ncols]) and red[i][ncols]:
+            return None
+    x = [field.zero() for _ in range(ncols)]
+    for i, c in enumerate(pivots):
+        if c == ncols:
+            return None
+        x[c] = red[i][ncols]
+    return x
+
+
+def in_column_space(columns, target, field):
+    """Coefficients expressing target in the columns, or None."""
+    if not columns:
+        return [] if not any(target) else None
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    return solve(rows, target, field)
+
+
+def combine(columns, coeffs, ctx):
+    out = [ctx.zero()] * len(columns[0])
+    for col, c in zip(columns, coeffs):
+        out = [o + c * x for o, x in zip(out, col)]
+    return out
+
+
+def rand_vector(rng, ctx):
+    """Ambient coordinates of a random element, some with a denominator: the
+    sparse, structured vectors that the specs eliminate."""
+    return lambda_ambient(ctx.rand_ratfunc(rng, max_deg=ctx.p + 1, max_terms=3))
+
+
+def rand_coeffs(rng, ctx, w):
+    return [ctx.rand_ratfunc(rng, max_deg=1, max_terms=2) for _ in range(w)]
+
+
+def check_against_oracle(space, columns, b, ctx):
+    want = in_column_space(columns, b, ctx)
+    assert space.contains(b) == (want is not None)
+    got = space.solve(b, ctx.const_poly(1))
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    assert combine(columns, got, ctx) == list(b)
+    if space.ok:
+        assert got == want  # the solution is unique
+    return got
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_column_space_matches_fresh_elimination(p, n):
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(100 * p + n)
+    seen = {"independent": 0, "dependent": 0, "in": 0, "out": 0}
+    for trial in range(8):
+        w = rng.randint(1, min(3, p ** n - 1))
+        columns = [rand_vector(rng, ctx) for _ in range(w)]
+        if trial % 2:
+            # a combination of the others makes the set dependent
+            columns.append(combine(columns, rand_coeffs(rng, ctx, w), ctx))
+        space = ColumnSpace(columns, ctx)
+        assert space.ok == (_linalg.rank([list(r) for r in zip(*columns)]) == len(columns))
+        seen["independent" if space.ok else "dependent"] += 1
+        for _ in range(4):
+            member = combine(columns, rand_coeffs(rng, ctx, len(columns)), ctx)
+            assert check_against_oracle(space, columns, member, ctx) is not None
+            seen["in"] += 1
+            other = [m + x for m, x in zip(member, rand_vector(rng, ctx))]
+            if check_against_oracle(space, columns, other, ctx) is None:
+                seen["out"] += 1
+    assert all(seen.values()), seen
+
+
+def test_column_space_entries_with_denominators():
+    ctx = Context(3, ("s", "v"))
+    s, v = ctx.gens()
+    one = ctx.one()
+    columns = [[one / (s + one), s, ctx.zero()], [v, one / (v * v), s / v]]
+    space = ColumnSpace(columns, ctx)
+    assert space.ok
+    b = combine(columns, [s / (v + one), v * v], ctx)
+    assert space.solve(b, ctx.const_poly(1)) == [s / (v + one), v * v]
+    # a scaled query gives the coordinates of the unscaled vector
+    assert space.solve([x * (s + one) for x in b], (s + one).num) == [s / (v + one), v * v]
+    assert not space.contains([one, ctx.zero(), ctx.zero()])
+
+
+def test_column_space_without_columns_is_zero():
+    ctx = Context(2, ("t",))
+    space = ColumnSpace([], ctx)
+    assert space.ok
+    assert space.solve([ctx.zero(), ctx.zero()], ctx.const_poly(1)) == []
+    assert not space.contains([ctx.zero(), ctx.one()])
+
+
+def tower_gens(rng, ctx, k):
+    """g_i = x_i * c^p + d^p for the first k variables: p-independent by construction."""
+    out = []
+    for x in ctx.gens()[:k]:
+        c = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True, denominators=False)
+        d = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
+        out.append(x * frobenius(c) + frobenius(d))
+    return out
+
+
+def old_subfield_member(F, x):
+    columns = [lambda_ambient(p_monomial(F.ctx, l, F.gens)) for l in range(F.dim_over_p)]
+    sol = in_column_space(columns, lambda_ambient(x), F.ctx)
+    return None if sol is None else LambdaCoords(tuple(sol), True)
+
+
+def old_rspace_member(R, x):
+    w = R.over.dim_over_p
+    columns = [
+        lambda_ambient(p_monomial(R.ctx, l, R.over.gens) * b) for b in R.basis for l in range(w)
+    ]
+    sol = in_column_space(columns, lambda_ambient(x), R.ctx)
+    if sol is None:
+        return None
+    return [reconstruct(R.over.gens, sol[j * w : (j + 1) * w], R.ctx) for j in range(len(R.basis))]
+
+
+def probes(rng, ctx, space):
+    """Members of the space, and the same shifted by outside material."""
+    out = []
+    for _ in range(3):
+        x = space.rand_element(rng)
+        out.append(x)
+        out.append(x + ctx.gens()[-1] * ctx.rand_ratfunc(rng, max_deg=1, max_terms=2))
+        out.append(ctx.rand_ratfunc(rng, max_deg=2, max_terms=2))
+    return out
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_specs_match_fresh_elimination(p, n):
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(7 * p + n)
+    # keep p^k small so the per-query oracle stays quick
+    k = 0 if p ** n > 27 else min(n - 1, 1)
+    F = SubfieldSpec("F", tower_gens(rng, ctx, k), ctx)
+    # add a basis element only while R stays a proper subspace of K
+    last = ctx.gens()[-1]
+    R = RSpaceSpec("R", F, [ctx.one(), last] if 2 * p ** k < p ** n else [ctx.one()])
+    verdicts = set()
+    for x in probes(rng, ctx, F):
+        want = old_subfield_member(F, x)
+        assert F.member(x) == want
+        assert F.contains(x) == (want is not None)
+        verdicts.add(("F", want is not None))
+    for x in probes(rng, ctx, R):
+        want = old_rspace_member(R, x)
+        assert R.member(x) == want
+        assert R.contains(x) == (want is not None)
+        verdicts.add(("R", want is not None))
+    assert len(verdicts) == 4, verdicts
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_lambda_coords_matches_fresh_elimination(p, n):
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(11 * p + n)
+    k = 1 if p == 5 else min(n, 2)
+    tuples = [
+        tower_gens(rng, ctx, k),
+        [ctx.gens()[0], frobenius(ctx.gens()[0])],  # dependent
+        [ctx.zero()],
+        list(ctx.gens()) + [ctx.one()],  # too many entries
+    ]
+    for a in tuples:
+        size = p ** len(a)
+        independent = len(a) <= n and not any(x.is_zero() for x in a)
+        if independent:
+            columns = [lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)]
+            independent = _linalg.columns_independent(columns)
+        coeffs = [ctx.rand_ratfunc(rng, max_deg=1, max_terms=1, denominators=False)
+                  for _ in range(size)]
+        inside = reconstruct(a, coeffs, ctx) if independent else ctx.one()
+        for b in (inside, ctx.rand_ratfunc(rng)):
+            got = lambda_coords(a, b, ctx)
+            sol = in_column_space(columns, lambda_ambient(b), ctx) if independent else None
+            assert got.defined == (sol is not None)
+            if sol is not None:
+                assert got.coords == tuple(sol)
+            else:
+                assert got.coords == (ctx.zero(),) * size
+
+
+def test_spec_constructors_reject_bad_generators():
+    ctx = Context(2, ("t", "u"))
+    t, u = ctx.gens()
+    with pytest.raises(SpecError, match="zero generator"):
+        SubfieldSpec("F", (t, ctx.zero()), ctx)
+    with pytest.raises(SpecError, match="not p-independent"):
+        SubfieldSpec("F", (t, t * frobenius(u)), ctx)
+    with pytest.raises(SpecError, match="not p-independent"):
+        SubfieldSpec("F", (t, u, t + u), ctx)
+    kp = SubfieldSpec("Kp", (), ctx)
+    with pytest.raises(SpecError, match="not linearly independent"):
+        RSpaceSpec("R", kp, [ctx.one(), t, t + frobenius(u)])
+    with pytest.raises(SpecError, match="not linearly independent"):
+        RSpaceSpec("R", SubfieldSpec("F", (t,), ctx), [ctx.one(), t])
+    with pytest.raises(SpecError, match="not linearly independent"):
+        RSpaceSpec("R", kp, [ctx.one(), t, u, t * u, t + u * u * u])

@@ -136,6 +136,16 @@ def test_matrix_commutator_matches_datum_relation():
         assert comm == u_to_mat(want)
 
 
+def test_full_datum_is_shared_by_equal_contexts():
+    other = Context(CTX.p, CTX.names)
+    assert other is not CTX and other == CTX
+    assert full_datum(other) is full_datum(CTX)
+    one = CTX.one()
+    assert full_datum(other).generator(1, other.one()) == full_datum(CTX).generator(1, one)
+    m = u_to_mat(full_datum(CTX).generator(3, one))
+    assert mat_to_u(m) == mat_to_u(m, full_datum(other))
+
+
 def test_u_mat_roundtrip():
     datum = full_datum(CTX)
     ctx = CTX
