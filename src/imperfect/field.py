@@ -37,7 +37,7 @@ def _grlex_key(exps: tuple) -> tuple:
 class Context:
     """Fixes the prime p and the variable names of one ambient field K."""
 
-    __slots__ = ("p", "names", "n", "_zero", "_one", "_cache")
+    __slots__ = ("p", "names", "n", "_zero", "_one")
 
     def __init__(self, p: int, names: Sequence[str]):
         if p not in (2, 3, 5):
@@ -55,7 +55,6 @@ class Context:
         self.n = len(names)
         self._zero = None
         self._one = None
-        self._cache = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -450,6 +449,25 @@ def _monic(f: SparsePoly) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
+def _cancel(x: SparsePoly, y: SparsePoly) -> tuple:
+    """(x/g, y/g) for g = gcd(x, y); no gcd is run when y is 1."""
+    if y.is_one():
+        return x, y
+    g = poly_gcd(x, y)
+    if g.is_one():
+        return x, y
+    return exact_div(x, g), exact_div(y, g)
+
+
+def _monic_den(num: SparsePoly, den: SparsePoly) -> tuple:
+    """num/den rescaled so that den has leading coefficient 1."""
+    _, lc = den.leading()
+    if lc == 1:
+        return num, den
+    inv = pow(lc, den.ctx.p - 2, den.ctx.p)
+    return num.scale(inv), den.scale(inv)
+
+
 class RatFunc:
     """A reduced fraction num/den of sparse polynomials over F_p."""
 
@@ -461,16 +479,9 @@ class RatFunc:
         if reduce:
             if num.is_zero():
                 den = ctx.const_poly(1)
-            elif not den.is_one():
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
-            _, lc = den.leading()
-            if lc != 1:
-                inv = pow(lc, ctx.p - 2, ctx.p)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            else:
+                num, den = _cancel(num, den)
+            num, den = _monic_den(num, den)
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -503,8 +514,25 @@ class RatFunc:
             return self
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.ctx, self.num + other.num, self.den, reduce=False)
-        num = self.num * other.den + other.num * self.den
-        return RatFunc(self.ctx, num, self.den * other.den)
+        # a/b + c/d with both inputs reduced and b, d monic
+        ctx = self.ctx
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if d.is_one():
+            # gcd(a + c*b, b) = gcd(a, b) = 1
+            return RatFunc(ctx, a + c * b, b, reduce=False)
+        if b.is_one():
+            return RatFunc(ctx, c + a * d, d, reduce=False)
+        g = poly_gcd(b, d)
+        if g.is_one():
+            return RatFunc(ctx, a * d + c * b, b * d, reduce=False)
+        # with b = g*b1, d = g*d1: t = a*d1 + c*b1 is coprime to b1 and d1,
+        # so the only common factor left is gcd(t, g)
+        b1 = exact_div(b, g)
+        t = a * exact_div(d, g) + c * b1
+        if t.is_zero():
+            return ctx.zero()
+        g2 = poly_gcd(t, g)
+        return RatFunc(ctx, exact_div(t, g2), b1 * exact_div(d, g2), reduce=False)
 
     def __neg__(self) -> "RatFunc":
         if self.ctx.p == 2:
@@ -520,12 +548,15 @@ class RatFunc:
             return self.ctx.zero()
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.ctx, self.num * other.num, self.den, reduce=False)
-        return RatFunc(self.ctx, self.num * other.num, self.den * other.den)
+        # (a/b)(c/d): gcd(a, b) = gcd(c, d) = 1, so only a, d and c, b can share factors
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return RatFunc(self.ctx, a * c, b * d, reduce=False)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise FieldError("inverse of zero")
-        return RatFunc(self.ctx, self.den, self.num)
+        return RatFunc(self.ctx, *_monic_den(self.den, self.num), reduce=False)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
@@ -533,7 +564,10 @@ class RatFunc:
             raise FieldError("division by zero")
         if self.is_zero():
             return self
-        return RatFunc(self.ctx, self.num * other.den, self.den * other.num)
+        # (a/b)/(c/d) = (a*d)/(b*c), cancelled as in __mul__
+        a, c = _cancel(self.num, other.num)
+        d, b = _cancel(other.den, self.den)
+        return RatFunc(self.ctx, *_monic_den(a * d, b * c), reduce=False)
 
     def __pow__(self, k: int) -> "RatFunc":
         if k == 0:
@@ -750,7 +784,11 @@ class _Parser:
 
 def parse_element(s: str, ctx: Context) -> RatFunc:
     p = _Parser(s, ctx)
-    out = p.parse_expr()
+    try:
+        out = p.parse_expr()
+    except RecursionError:
+        pos = p.toks[min(p.i, len(p.toks) - 1)][2]
+        raise ParseError("expression nested too deeply", pos) from None
     t = p.peek()
     if t[0] != "end":
         raise ParseError(f"trailing input {t[1]!r}", t[2])

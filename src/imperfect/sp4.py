@@ -68,13 +68,11 @@ class Mat4:
             out.append(row)
         return Mat4(self.ctx, out)
 
-    def transpose(self) -> "Mat4":
-        return Mat4(self.ctx, [[self.rows[j][i] for j in range(4)] for i in range(4)])
-
     def inverse(self) -> "Mat4":
-        # for symplectic g the inverse is J g^T J with J its own inverse
-        j = form_matrix(self.ctx)
-        return j * self.transpose() * j
+        # for symplectic g the inverse is J g^T J with J its own inverse;
+        # entry (i, j) of J g^T J is g[3-j][3-i]
+        r = self.rows
+        return Mat4(self.ctx, [[r[3 - j][3 - i] for j in range(4)] for i in range(4)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
@@ -101,8 +99,10 @@ def form_matrix(ctx: Context) -> Mat4:
 
 
 def is_symplectic(g: Mat4) -> bool:
-    j = form_matrix(g.ctx)
-    return g.transpose() * j * g == j
+    # entry (i, j) of g^T J is g[3-j][i]
+    r = g.rows
+    gt_j = Mat4(g.ctx, [[r[3 - j][i] for j in range(4)] for i in range(4)])
+    return gt_j * g == form_matrix(g.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +192,11 @@ def full_datum(ctx: Context) -> RootDatum2:
 
 
 def u_to_mat(u: UElement) -> Mat4:
+    """x1(t) x2(b) x3(c) x4(a), multiplied out as in mat_to_u."""
     ctx = u.datum.ctx
-    out = identity4(ctx)
-    for slot, c in u.word():
-        out = out * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), c)
-    return out
+    t, b, c, a = u.coords
+    z, o = ctx.zero(), ctx.one()
+    return Mat4(ctx, [[o, t, c + a * t, b + c * t], [z, o, a, c], [z, z, o, t], [z, z, z, o]])
 
 
 def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
@@ -234,7 +234,16 @@ def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
 # Weyl group
 # ---------------------------------------------------------------------------
 
-WEYL_WORDS = ("e", "a", "b", "ab", "ba", "aba", "bab", "abab")
+# n_w for each reduced word w, as the row of the 1 in each column: with
+# n_a = x_alpha(1) x_-alpha(1) x_alpha(1), n_b likewise and n_w the product
+# along w, every n_w is a permutation matrix in characteristic 2
+_WEYL_PERM = {
+    "e": (0, 1, 2, 3), "a": (1, 0, 3, 2), "b": (0, 2, 1, 3), "ab": (1, 3, 0, 2),
+    "ba": (2, 0, 3, 1), "aba": (3, 1, 2, 0), "bab": (2, 3, 0, 1), "abab": (3, 2, 1, 0),
+}
+_CHAMBER = {perm: w for w, perm in _WEYL_PERM.items()}
+
+WEYL_WORDS = tuple(_WEYL_PERM)
 
 # positive roots in slot order, as (x, y) meaning x*alpha + y*beta
 _POS_ROOTS = {1: (1, 0), 2: (2, 1), 3: (1, 1), 4: (0, 1)}
@@ -254,16 +263,11 @@ def weyl_apply(word: str, root: Tuple[int, int]) -> Tuple[int, int]:
 
 
 def weyl_rep(word: str, ctx: Context) -> Mat4:
-    n_a = (chevalley_gen(Sp4Root("alpha"), ctx.one())
-           * chevalley_gen(Sp4Root("-alpha"), ctx.one())
-           * chevalley_gen(Sp4Root("alpha"), ctx.one()))
-    n_b = (chevalley_gen(Sp4Root("beta"), ctx.one())
-           * chevalley_gen(Sp4Root("-beta"), ctx.one())
-           * chevalley_gen(Sp4Root("beta"), ctx.one()))
-    out = identity4(ctx)
-    for letter in word.replace("e", ""):
-        out = out * (n_a if letter == "a" else n_b)
-    return out
+    if word not in _WEYL_PERM:
+        raise SpecError(f"unknown Weyl word {word!r}")
+    perm = _WEYL_PERM[word]
+    z, o = ctx.zero(), ctx.one()
+    return Mat4(ctx, [[o if perm[j] == i else z for j in range(4)] for i in range(4)])
 
 
 def _negative(root: Tuple[int, int]) -> bool:
@@ -273,17 +277,6 @@ def _negative(root: Tuple[int, int]) -> bool:
 def descent_slots(word: str) -> Tuple[int, ...]:
     """Positive slots sent negative; the canonical support of the tail part."""
     return tuple(s for s, r in _POS_ROOTS.items() if _negative(weyl_apply(word, r)))
-
-
-def _perm_of(m: Mat4) -> Optional[Tuple[int, ...]]:
-    """Row index of the nonzero entry in each column, for monomial matrices."""
-    perm = []
-    for j in range(4):
-        hits = [i for i in range(4) if not m.rows[i][j].is_zero()]
-        if len(hits) != 1:
-            return None
-        perm.append(hits[0])
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +321,7 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
         cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], ctx) for i in range(4)]
         pivot = max(i for i in range(4) if cur[i] > prev[i])
         perm.append(pivot)
-    word = None
-    for w in WEYL_WORDS:
-        if _perm_of(weyl_rep(w, ctx)) == tuple(perm):
-            word = w
-            break
+    word = _CHAMBER.get(tuple(perm))
     if word is None:
         raise InvariantViolation(f"pivot pattern {perm} matches no Weyl chamber")
     n_w = weyl_rep(word, ctx)

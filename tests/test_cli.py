@@ -31,6 +31,17 @@ def test_field_eval_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_field_eval_deep_nesting_is_a_parse_error(capsys):
+    deep = "(" * 300 + "t" + ")" * 300
+    code, out, err = run(capsys, "field", "eval", "-p", "2", "--vars", "t,u", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "field", "eval", "(" * 100 + "t" + ")" * 100)
+    assert code == 0 and out.strip() == "t"
+
+
 def test_field_eval_bad_characteristic(capsys):
     code, _, _ = run(capsys, "field", "eval", "t", "-p", "6")
     assert code == 1

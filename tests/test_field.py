@@ -10,6 +10,7 @@ from imperfect.field import (
     RatFunc,
     frobenius,
     parse_element,
+    poly_gcd,
     pth_root,
     render_element,
 )
@@ -195,3 +196,126 @@ def test_rand_ratfunc_respects_flags():
         assert not a.is_zero()
         b = CTX2.rand_ratfunc(rng, denominators=False)
         assert b.is_poly()
+
+
+# ---------------------------------------------------------------------------
+# cross-cancelling arithmetic against one full reduction of the cross products
+# ---------------------------------------------------------------------------
+
+CONTEXTS = [Context(p, ("t", "u", "v")[:n]) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+# the reference: build the unreduced cross products and reduce them once
+REFERENCE = {
+    "+": lambda x, y: RatFunc(x.ctx, x.num * y.den + y.num * x.den, x.den * y.den),
+    "-": lambda x, y: RatFunc(x.ctx, x.num * y.den - y.num * x.den, x.den * y.den),
+    "*": lambda x, y: RatFunc(x.ctx, x.num * y.num, x.den * y.den),
+    "/": lambda x, y: RatFunc(x.ctx, x.num * y.den, x.den * y.num),
+}
+FAST = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def assert_canonical(x):
+    assert x.den.leading()[1] == 1
+    if x.num.is_zero():
+        assert x.den.is_one()
+    else:
+        assert poly_gcd(x.num, x.den).is_one()
+
+
+def assert_ops_agree(x, y):
+    for op, ref in REFERENCE.items():
+        if op == "/" and y.is_zero():
+            continue
+        got = FAST[op](x, y)
+        assert_canonical(got)
+        assert got == ref(x, y), (op, x, y)
+    if not x.is_zero():
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert inv == RatFunc(x.ctx, x.den, x.num)
+
+
+def nonconstant_poly(ctx, rng):
+    while True:
+        f = ctx.rand_poly(rng, max_deg=1, max_terms=2)
+        if not f.is_constant():
+            return f
+
+
+def with_factor(ctx, rng, f):
+    """A reduced element whose denominator is a multiple of f."""
+    while True:
+        num = ctx.rand_poly(rng, max_deg=2, max_terms=2)
+        x = RatFunc(ctx, num, f * nonconstant_poly(ctx, rng))
+        if poly_gcd(x.den, f).total_degree() == f.total_degree():
+            return x
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_fraction_arithmetic_matches_full_reduction(ctx):
+    rng = random.Random(ctx.p * 10 + ctx.n)
+    for _ in range(25):
+        x = ctx.rand_ratfunc(rng)
+        y = ctx.rand_ratfunc(rng)
+        assert_ops_agree(x, y)
+        assert_ops_agree(y, x)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_fraction_arithmetic_with_shared_denominator_factors(ctx):
+    rng = random.Random(100 + ctx.p * 10 + ctx.n)
+    cancelled = 0
+    for _ in range(10):
+        f = nonconstant_poly(ctx, rng)
+        x = with_factor(ctx, rng, f)
+        y = with_factor(ctx, rng, f)
+        z = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
+        assert not poly_gcd(x.den, y.den).is_one()
+        assert_ops_agree(x, y)
+        # x + (z - x) = z: the denominators share factors and the sum
+        # cancels part of them again (the gcd(t, g) != 1 case)
+        w = z - x
+        cancelled += (x + w).den.total_degree() < w.den.total_degree()
+        assert_ops_agree(x, w)
+        assert x + w == z
+    assert cancelled >= 5
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_sums_that_cancel_to_zero_or_a_constant(ctx):
+    rng = random.Random(200 + ctx.p * 10 + ctx.n)
+    for _ in range(10):
+        f = nonconstant_poly(ctx, rng)
+        x = with_factor(ctx, rng, f)
+        for c in range(ctx.p):
+            y = ctx.scalar(c) - x
+            s = x + y
+            assert_canonical(s)
+            assert s == ctx.scalar(c)
+        assert_ops_agree(x, ctx.one() - x)
+        assert_canonical(x - x)
+        assert (x - x).is_zero() and (x - x).den.is_one()
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_poly_gcd_against_sympy(ctx):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ctx.names)
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict(dict(f.terms) or {(0,) * ctx.n: 0}, *gens, modulus=ctx.p)
+
+    rng = random.Random(300 + ctx.p * 10 + ctx.n)
+    for _ in range(15):
+        h = ctx.rand_poly(rng, max_deg=1, max_terms=2)
+        f = h * ctx.rand_poly(rng, max_deg=2, max_terms=3)
+        g = h * ctx.rand_poly(rng, max_deg=2, max_terms=3)
+        got = poly_gcd(f, g)
+        assert got.leading()[1] == 1 or got.is_zero()
+        want = sympy.gcd(to_sympy(f), to_sympy(g))
+        assert to_sympy(got).monic() == want.monic(), (f, g)

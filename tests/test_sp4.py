@@ -6,6 +6,8 @@ from imperfect.field import Context, FieldError
 from imperfect.presets import Bundle
 from imperfect.rank1 import gen as sl2_gen
 from imperfect.sp4 import (
+    _CHAMBER,
+    _WEYL_PERM,
     SLOT_ROOT,
     WEYL_WORDS,
     Bruhat4,
@@ -31,7 +33,7 @@ from imperfect.sp4 import (
     weyl_rep,
 )
 from imperfect.tower import IndifferentSpec, SpecError
-from imperfect.unipotent import u_mult
+from imperfect.unipotent import UElement, u_mult
 
 
 CTX = Context(2, ("t", "u"))
@@ -153,7 +155,6 @@ def test_u_mat_roundtrip():
     for _ in range(40):
         coords = tuple(ctx.rand_ratfunc(rng, max_deg=1, denominators=False)
                        for _ in range(4))
-        from imperfect.unipotent import UElement
         x = UElement(datum, coords)
         assert mat_to_u(u_to_mat(x)) == x
 
@@ -171,6 +172,103 @@ def test_mat_to_u_rejects_bad_input():
     m = Mat4(ctx, rows)
     with pytest.raises(SpecError):
         mat_to_u(m)
+
+
+def transpose(g):
+    return Mat4(g.ctx, [[g.rows[j][i] for j in range(4)] for i in range(4)])
+
+
+def test_u_to_mat_matches_generator_product():
+    # every zero pattern of the four slots, with coordinates that have denominators
+    datum = full_datum(CTX)
+    ctx = CTX
+    rng = random.Random(41)
+    fractions = 0
+    for mask in range(16):
+        coords = []
+        for i in range(4):
+            if mask >> i & 1:
+                num = ctx.rand_ratfunc(rng, max_deg=1, nonzero=True, denominators=False)
+                den = ctx.var(rng.choice("tu")) + ctx.scalar(rng.randint(0, 1))
+                coords.append(num / den)
+                fractions += not coords[-1].is_poly()
+            else:
+                coords.append(ctx.zero())
+        u = UElement(datum, tuple(coords))
+        want = identity4(ctx)
+        for slot, c in u.word():
+            want = want * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), c)
+        assert u_to_mat(u) == want, mask
+        assert mat_to_u(want) == u
+    assert fractions >= 16
+
+
+def test_inverse_is_form_conjugate_transpose():
+    ctx = CTX
+    j = form_matrix(ctx)
+    one = identity4(ctx)
+    rng = random.Random(42)
+    spec = line_spec()
+    words = [rand_plain_word(ctx, rng) for _ in range(15)]
+    words += [rand_word_matrix(spec, rng, length=4, torus=True) for _ in range(10)]
+    for g in words:
+        inv = g.inverse()
+        assert inv == j * transpose(g) * j
+        assert g * inv == one and inv * g == one
+        assert is_symplectic(g)
+    # the index shuffle equals J g^T J for any input, symplectic or not,
+    # and is_symplectic agrees with the product definition g^T J g == J
+    for _ in range(10):
+        g = Mat4(ctx, [[ctx.rand_ratfunc(rng, max_deg=1) for _ in range(4)] for _ in range(4)])
+        assert g.inverse() == j * transpose(g) * j
+        assert is_symplectic(g) == (transpose(g) * j * g == j)
+        assert not is_symplectic(g)
+
+
+def _perm_of(m):
+    """Row index of the nonzero entry in each column, for monomial matrices."""
+    perm = []
+    for j in range(4):
+        hits = [i for i in range(4) if not m.rows[i][j].is_zero()]
+        if len(hits) != 1:
+            return None
+        perm.append(hits[0])
+    return tuple(perm)
+
+
+def weyl_product(word, ctx):
+    """n_w as the product of n_a = x_alpha(1) x_-alpha(1) x_alpha(1) and n_b along w."""
+    one = ctx.one()
+    n = {
+        letter: chevalley_gen(Sp4Root(r), one) * chevalley_gen(Sp4Root("-" + r), one)
+        * chevalley_gen(Sp4Root(r), one)
+        for letter, r in (("a", "alpha"), ("b", "beta"))
+    }
+    out = identity4(ctx)
+    for letter in word.replace("e", ""):
+        out = out * n[letter]
+    return out
+
+
+def test_weyl_table_matches_product_definition():
+    for ctx in (CTX, CTXV):
+        for w in WEYL_WORDS:
+            want = weyl_product(w, ctx)
+            assert _perm_of(want) == _WEYL_PERM[w]
+            assert weyl_rep(w, ctx) == want
+    with pytest.raises(SpecError):
+        weyl_rep("aa", CTX)
+
+
+def test_chamber_lookup_matches_trial_loop():
+    ctx = CTX
+    t = ctx.var("t")
+    for w in WEYL_WORDS:
+        perm = _perm_of(weyl_product(w, ctx))
+        trial = next(v for v in WEYL_WORDS if _perm_of(weyl_product(v, ctx)) == perm)
+        assert _CHAMBER[perm] == trial == w
+        g = torus_matrix(t, ctx.one()) * weyl_rep(w, ctx)
+        assert sp4_bruhat(g).word == w
 
 
 def test_weyl_words_are_distinct():
