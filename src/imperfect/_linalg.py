@@ -152,13 +152,6 @@ def nullspace(rows: List[list], field) -> List[list]:
     return basis
 
 
-def columns_independent(columns: Sequence[list]) -> bool:
-    if not columns:
-        return True
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return rank(rows) == len(columns)
-
-
 class ColumnSpace:
     """The span of a fixed list of columns, eliminated once and queried often.
 

@@ -450,8 +450,8 @@ def _monic(f: SparsePoly) -> SparsePoly:
 
 
 def _cancel(x: SparsePoly, y: SparsePoly) -> tuple:
-    """(x/g, y/g) for g = gcd(x, y); no gcd is run when y is 1."""
-    if y.is_one():
+    """(x/g, y/g) for g = gcd(x, y), x and y nonzero; no gcd is run when either is constant."""
+    if x.is_constant() or y.is_constant():
         return x, y
     g = poly_gcd(x, y)
     if g.is_one():
@@ -716,6 +716,10 @@ def _tokenize(s: str, ctx: Context) -> Iterator[tuple]:
     yield ("end", None, len(s))
 
 
+# input budget: a power in parsed input may have at most this total degree
+MAX_POWER_DEGREE = 256
+
+
 class _Parser:
     def __init__(self, s: str, ctx: Context):
         self.ctx = ctx
@@ -765,8 +769,13 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
-            t = self.expect("nat")
-            base = base ** t[1]
+            _, k, pos = self.expect("nat")
+            degree = k * max(base.num.total_degree(), base.den.total_degree())
+            if degree > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power of total degree {degree} exceeds the limit {MAX_POWER_DEGREE}", pos
+                )
+            base = base ** k
         return base
 
     def parse_atom(self) -> RatFunc:

@@ -9,9 +9,19 @@ the coordinate functions computed here. The convention for inadmissible
 input (a not p-independent, or b outside K^p[a]) is an all-zero undefined
 result rather than an error.
 
-Everything reduces to exact linear algebra over K in the coordinates of
-the ambient variable p-basis (x_1, ..., x_n), which are computable directly
-from the fraction representation without solving anything.
+Whether such coordinates exist is decided by the Jacobian criterion
+(Matsumura, Commutative Ring Theory, Thm 26.5; Bourbaki, Algebre V §13).
+The derivations d/dx_1, ..., d/dx_n of K = F_p(x_1, ..., x_n) vanish exactly
+on K^p, so with db = (db/dx_1, ..., db/dx_n):
+
+  * a is p-independent iff da_1, ..., da_m are K-linearly independent;
+  * b lies in K^p[a] iff db lies in the K-span of da_1, ..., da_m.
+
+Both are rank questions on an m x n matrix, not on the p^m columns of the
+p-monomials in a. Only the coordinates themselves need those: they are
+exact linear algebra over K in the coordinates of the ambient variable
+p-basis (x_1, ..., x_n), which are computable directly from the fraction
+representation without solving anything.
 """
 
 from __future__ import annotations
@@ -96,6 +106,35 @@ def lambda_ambient(b: RatFunc) -> List[RatFunc]:
     return [RatFunc(ctx, c.num, b.den) if c else ctx.zero() for c in lambda_numerators(b)]
 
 
+def _partial(f: SparsePoly, k: int) -> SparsePoly:
+    """The formal derivative of f in the k-th variable."""
+    p = f.ctx.p
+    out = {}
+    for e, c in f.terms.items():
+        d = c * e[k] % p
+        if d:
+            out[e[:k] + (e[k] - 1,) + e[k + 1:]] = d
+    return SparsePoly(f.ctx, out)
+
+
+def differential(b: RatFunc) -> List[RatFunc]:
+    """(db/dx_1, ..., db/dx_n) scaled by b.den^2: polynomial entries, made without any gcd.
+
+    By the quotient rule den^2 * d(num/den) = d(num) * den - num * d(den).
+    The scaling changes no answer about independence or membership in a K-span.
+    """
+    ctx = b.ctx
+    num, den = b.num, b.den
+    one = ctx.const_poly(1)
+    out = []
+    for k in range(ctx.n):
+        d = _partial(num, k)
+        if not den.is_one():
+            d = d * den - num * _partial(den, k)
+        out.append(RatFunc(ctx, d, one, reduce=False))
+    return out
+
+
 def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = None) -> LambdaCoords:
     """The unique coordinates of b over K^p relative to the tuple a, when they exist."""
     if ctx is None:
@@ -106,11 +145,14 @@ def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = Non
     size = ctx.p ** m
     if m > ctx.n or any(x.is_zero() for x in a):
         return _undefined(ctx, size)
-    # a is p-independent exactly when its p-monomial columns are independent
-    space = _linalg.ColumnSpace([lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)], ctx)
-    sol = space.solve(lambda_numerators(b), b.den) if space.ok else None
-    if sol is None:
+    # the Jacobian criterion decides definedness before the p^m system is built
+    span = _linalg.ColumnSpace([differential(x) for x in a], ctx)
+    if not span.ok or not span.contains(differential(b)):
         return _undefined(ctx, size)
+    space = _linalg.ColumnSpace([lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)], ctx)
+    sol = space.solve(lambda_numerators(b), b.den)
+    if sol is None:
+        raise FieldError("the differential criterion and the coordinate system disagree")
     return LambdaCoords(tuple(sol), True)
 
 
@@ -129,13 +171,13 @@ def reconstruct(a: Sequence[RatFunc], coords: Sequence[RatFunc], ctx: Context) -
 def is_p_independent(
     c: Sequence[RatFunc], over_gens: Sequence[RatFunc] = (), ctx: Optional[Context] = None
 ) -> bool:
-    """Whether c is p-independent over E = K^p[over_gens].
+    """Whether over_gens together with c is p-independent.
 
-    Decided by the K-linear independence of the ambient coordinate vectors of
-    the products m_l(over_gens) * m_i(c): a dependence of the p-monomials in c
-    over E with p-th power coefficients is exactly a K-linear dependence of
-    those columns. over_gens must itself be p-independent for the reading
-    "[E[c] : E] = p^|c|" to be the meaning tested; callers validate that.
+    When over_gens is p-independent this says that c is p-independent over
+    E = K^p[over_gens], i.e. [E[c] : E] = p^|c|; callers validate over_gens.
+    Decided by the Jacobian criterion (see the module docstring): the rows
+    d(x) for x in over_gens + c must be K-linearly independent, an
+    (|over_gens| + |c|) x n rank test.
     """
     if ctx is None:
         src = list(c) or list(over_gens)
@@ -144,13 +186,7 @@ def is_p_independent(
         ctx = src[0].ctx
     if any(x.is_zero() for x in c):
         return False
-    p = ctx.p
-    total = len(c) + len(over_gens)
-    if p ** total > p ** ctx.n:
+    rows = list(over_gens) + list(c)
+    if len(rows) > ctx.n:
         return False
-    columns = []
-    for l in range(p ** len(over_gens)):
-        ml = p_monomial(ctx, l, over_gens)
-        for i in range(p ** len(c)):
-            columns.append(lambda_ambient(ml * p_monomial(ctx, i, c)))
-    return _linalg.columns_independent(columns)
+    return _linalg.rank([differential(x) for x in rows]) == len(rows)

@@ -304,6 +304,21 @@ def _rank(rows: List[List[RatFunc]], ctx: Context) -> int:
     return _linalg.rank(rows)
 
 
+def _pivot_rows(g: Mat4) -> Tuple[int, ...]:
+    """Pivot row of each column: where the rank of the trailing-row block jumps.
+
+    The ranks for the first j + 1 columns are the previous ranks of the next
+    column, so each of the 16 blocks is ranked once.
+    """
+    perm = []
+    prev = [0] * 4
+    for j in range(4):
+        cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], g.ctx) for i in range(4)]
+        perm.append(max(i for i in range(4) if cur[i] > prev[i]))
+        prev = cur
+    return tuple(perm)
+
+
 def sp4_bruhat(g: Mat4) -> Bruhat4:
     """Canonical u1 * h * n_w * u2 with u2 supported on the descent slots.
 
@@ -314,16 +329,10 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
     ctx = g.ctx
     if not is_symplectic(g):
         raise SpecError("matrix does not preserve the form")
-    # pivot row of each column: where the rank of the trailing-row block jumps
-    perm = []
-    for j in range(4):
-        prev = [_rank([list(g.rows[r][:j]) for r in range(i, 4)], ctx) for i in range(4)]
-        cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], ctx) for i in range(4)]
-        pivot = max(i for i in range(4) if cur[i] > prev[i])
-        perm.append(pivot)
-    word = _CHAMBER.get(tuple(perm))
+    perm = _pivot_rows(g)
+    word = _CHAMBER.get(perm)
     if word is None:
-        raise InvariantViolation(f"pivot pattern {perm} matches no Weyl chamber")
+        raise InvariantViolation(f"pivot pattern {list(perm)} matches no Weyl chamber")
     n_w = weyl_rep(word, ctx)
     m = (g * n_w.inverse()).rows
     # split m = B * W, B upper triangular, W lower unipotent

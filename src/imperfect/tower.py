@@ -24,8 +24,10 @@ from . import _linalg
 from .field import Context, FieldError, RatFunc, parse_element, render_element
 from .pbasis import (
     LambdaCoords,
+    differential,
     is_p_independent,
     lambda_ambient,
+    lambda_coords,
     lambda_numerators,
     p_monomial,
     reconstruct,
@@ -50,7 +52,12 @@ class InvariantViolation(AssertionError):
 
 
 class SubfieldSpec:
-    """K^p[gens] inside the ambient field; gens must be p-independent."""
+    """K^p[gens] inside the ambient field; gens must be p-independent.
+
+    Both questions are answered by the Jacobian criterion (see pbasis): the
+    generators are p-independent iff their differentials are K-linearly
+    independent, and x lies in K^p[gens] iff dx lies in their K-span.
+    """
 
     def __init__(self, name: str, gens: Sequence[RatFunc], ctx: Context):
         self.name = name
@@ -60,9 +67,8 @@ class SubfieldSpec:
             raise SpecError("zero generator", name)
         if len(self.gens) > ctx.n:
             raise SpecError("generators are not p-independent", name)
-        columns = [lambda_ambient(p_monomial(ctx, l, self.gens)) for l in range(self.dim_over_p)]
         # one elimination both validates the generators and answers every query
-        self._space = _linalg.ColumnSpace(columns, ctx)
+        self._space = _linalg.ColumnSpace([differential(g) for g in self.gens], ctx)
         if not self._space.ok:
             raise SpecError("generators are not p-independent", name)
 
@@ -72,13 +78,11 @@ class SubfieldSpec:
         return self.ctx.p ** len(self.gens)
 
     def member(self, x: RatFunc) -> Optional[LambdaCoords]:
-        sol = self._space.solve(lambda_numerators(x), x.den)
-        if sol is None:
-            return None
-        return LambdaCoords(tuple(sol), True)
+        coords = lambda_coords(self.gens, x, self.ctx)
+        return coords if coords.defined else None
 
     def contains(self, x: RatFunc) -> bool:
-        return self._space.contains(lambda_numerators(x))
+        return self._space.contains(differential(x))
 
     def rand_element(
         self, rng: random.Random, nonzero: bool = False, max_deg: int = 1, max_terms: int = 2

@@ -1,4 +1,5 @@
 import json
+import time
 
 from imperfect import cli, suite
 from imperfect.cli import main
@@ -40,6 +41,16 @@ def test_field_eval_deep_nesting_is_a_parse_error(capsys):
     assert "Traceback" not in err
     code, out, _ = run(capsys, "field", "eval", "(" * 100 + "t" + ")" * 100)
     assert code == 0 and out.strip() == "t"
+
+
+def test_field_eval_huge_power_is_a_parse_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "field", "eval", "(t+u+1)^2000/(t^2000+u+1)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the limit" in err
+    assert "Traceback" not in err
 
 
 def test_field_eval_bad_characteristic(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imperfect.field import (
+    MAX_POWER_DEGREE,
     Context,
     FieldError,
     ParseError,
@@ -180,6 +181,18 @@ def test_parse_errors_carry_position():
         assert e.pos == 2
 
 
+def test_parse_rejects_powers_over_the_degree_budget():
+    t = CTX2.var("t")
+    assert parse_element(f"t^{MAX_POWER_DEGREE}", CTX2) == t ** MAX_POWER_DEGREE
+    assert parse_element(f"(t+u)^{MAX_POWER_DEGREE // 2}", CTX2).num.total_degree() == 128
+    assert parse_element("3^100000", CTX5) == CTX5.scalar(pow(3, 100000, 5))
+    for bad, pos in ((f"t^{MAX_POWER_DEGREE + 1}", 2), ("(t+u+1)^2000/(t^2000+u+1)", 8),
+                     ("(1/t^2)^200", 8)):
+        with pytest.raises(ParseError, match="exceeds the limit") as e:
+            parse_element(bad, CTX2)
+        assert e.value.pos == pos
+
+
 def test_division_by_zero_detected_through_parse():
     with pytest.raises(ParseError):
         parse_element("1/(t+t)", CTX2)
@@ -300,6 +313,23 @@ def test_sums_that_cancel_to_zero_or_a_constant(ctx):
         assert_ops_agree(x, ctx.one() - x)
         assert_canonical(x - x)
         assert (x - x).is_zero() and (x - x).den.is_one()
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_constant_numerators_match_full_reduction(ctx):
+    # factors such as 1/d and c/d, whose cancellation runs no gcd
+    rng = random.Random(300 + ctx.p * 10 + ctx.n)
+    for _ in range(10):
+        f = nonconstant_poly(ctx, rng)
+        x = with_factor(ctx, rng, f)
+        for c in range(1, ctx.p):
+            k = ctx.scalar(c)
+            # c/d with d sharing the factor f with the denominator of x
+            y = RatFunc(ctx, k.num, f * nonconstant_poly(ctx, rng))
+            for z in (k, y, y.inverse()):
+                assert_ops_agree(x, z)
+                assert_ops_agree(z, x)
+            assert_ops_agree(y, y)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)

@@ -8,6 +8,8 @@ from imperfect.rank1 import gen as sl2_gen
 from imperfect.sp4 import (
     _CHAMBER,
     _WEYL_PERM,
+    _pivot_rows,
+    _rank,
     SLOT_ROOT,
     WEYL_WORDS,
     Bruhat4,
@@ -269,6 +271,33 @@ def test_chamber_lookup_matches_trial_loop():
         assert _CHAMBER[perm] == trial == w
         g = torus_matrix(t, ctx.one()) * weyl_rep(w, ctx)
         assert sp4_bruhat(g).word == w
+
+
+def full_rank_pivot_rows(g):
+    """The pivot pattern as sp4_bruhat found it with 32 ranks per matrix:
+    both rank lists of every column ranked afresh."""
+    perm = []
+    for j in range(4):
+        prev = [_rank([list(g.rows[r][:j]) for r in range(i, 4)], g.ctx) for i in range(4)]
+        cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], g.ctx) for i in range(4)]
+        perm.append(max(i for i in range(4) if cur[i] > prev[i]))
+    return tuple(perm)
+
+
+def test_pivot_rows_match_full_rank_loop():
+    rng = random.Random(6)
+    spec = line_spec()
+    t = CTX.var("t")
+    mats = [rand_plain_word(CTX, rng) for _ in range(30)]
+    mats += [rand_word_matrix(spec, rng, length=5, torus=True) for _ in range(10)]
+    mats += [torus_matrix(t, CTX.one()) * weyl_rep(w, CTX) for w in WEYL_WORDS]
+    mats += [identity4(CTX), chevalley_gen(Sp4Root("-beta"), t)]
+    words = set()
+    for g in mats:
+        perm = _pivot_rows(g)
+        assert perm == full_rank_pivot_rows(g)
+        words.add(_CHAMBER[perm])
+    assert words == set(WEYL_WORDS)
 
 
 def test_weyl_words_are_distinct():
