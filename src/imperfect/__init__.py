@@ -20,6 +20,7 @@ seeded property suite), cli (the command-line front end).
 from .field import (
     Context,
     FieldError,
+    ImperfectError,
     ParseError,
     RatFunc,
     frobenius,
@@ -33,7 +34,6 @@ from .rank1 import (
     Mat2,
     TimmesfeldData,
     bruhat2,
-    extract_structure,
     factor_codim1,
     field_structure,
     gen,
@@ -99,6 +99,7 @@ __all__ = [
     "Config",
     "Context",
     "FieldError",
+    "ImperfectError",
     "IndifferentSpec",
     "InvariantViolation",
     "Mat2",
@@ -124,7 +125,6 @@ __all__ = [
     "chevalley_gen",
     "commutator",
     "derive_fields",
-    "extract_structure",
     "factor_codim1",
     "field_structure",
     "frobenius",

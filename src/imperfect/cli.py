@@ -14,14 +14,13 @@ import sys
 from typing import List, Optional
 
 from . import pbasis
-from .field import Context, FieldError, ParseError, parse_element, render_element
+from .field import Context, ImperfectError, ParseError, parse_element, render_element
 from .presets import Bundle, preset_names
 from .rank1 import Mat2, bruhat2, Cell, membership_sl2L, perfectness_witness
-from .reconstruct import (ReconstructError, c2_recover, g2_recover, make_c2_oracle,
-                          make_g2_oracle, negative_control, verify_recovery)
-from .tower import (InvariantViolation, SpecError, validate_indifferent,
-                    validate_tower)
-from .unipotent import (TorusElement2, c2_full_datum, center_member, commutator,
+from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
+                          negative_control, verify_recovery)
+from .tower import validate_indifferent, validate_tower
+from .unipotent import (TorusElement2, c2_datum, center_member, commutator,
                         g2_datum, parse_uword, torus_act, torus_normalizes,
                         u_mult, z2_member)
 from .suite import SuiteConfig, run_suite
@@ -72,7 +71,7 @@ def _u_datum(args):
         from .tower import SubfieldSpec
 
         return g2_datum(ctx, SubfieldSpec("k", (), ctx))
-    return c2_full_datum(ctx)
+    return c2_datum(ctx, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing config: {e}", file=sys.stderr)
         return 1
-    except (SpecError, FieldError, InvariantViolation, ReconstructError) as e:
+    except ImperfectError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

@@ -17,11 +17,15 @@ import random
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-class FieldError(ArithmeticError):
+class ImperfectError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class FieldError(ImperfectError, ArithmeticError):
     """Raised for invalid field operations (division by zero, bad context mix)."""
 
 
-class ParseError(ValueError):
+class ParseError(ImperfectError, ValueError):
     """Raised by parse_element; carries the offending position."""
 
     def __init__(self, msg: str, pos: int):
@@ -688,6 +692,9 @@ def render_element(a: RatFunc) -> str:
 # ---------------------------------------------------------------------------
 
 
+_DIGITS = "0123456789"
+
+
 def _tokenize(s: str, ctx: Context) -> Iterator[tuple]:
     i = 0
     while i < len(s):
@@ -695,11 +702,15 @@ def _tokenize(s: str, ctx: Context) -> Iterator[tuple]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j] in _DIGITS:
                 j += 1
-            yield ("nat", int(s[i:j]), i)
+            try:
+                value = int(s[i:j])
+            except ValueError:  # longer than the interpreter's integer string limit
+                raise ParseError("number too long", i) from None
+            yield ("nat", value, i)
             i = j
             continue
         if ch.isalpha():

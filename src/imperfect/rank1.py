@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .field import Context, FieldError, RatFunc, render_element
 from .tower import RSpaceSpec, SpecError, SubfieldSpec
@@ -173,13 +173,12 @@ class RankOneStructure:
     tsq: Callable[[RatFunc], RatFunc]
     sigma: Callable[[RatFunc], RatFunc]
     act: Callable[[RatFunc, RatFunc], RatFunc]
-    tbar_gens: Tuple[RatFunc, ...] = ()
 
     def elem_inv(self, x: RatFunc) -> RatFunc:
         return self.act(self.tinv(self.sigma(x)), x)
 
 
-def field_structure(ctx: Context, tbar_gens: Sequence[RatFunc] = ()) -> RankOneStructure:
+def field_structure(ctx: Context) -> RankOneStructure:
     return RankOneStructure(
         ctx=ctx,
         add=lambda x, y: x + y,
@@ -190,7 +189,6 @@ def field_structure(ctx: Context, tbar_gens: Sequence[RatFunc] = ()) -> RankOneS
         tsq=lambda x: x * x,
         sigma=lambda x: x * x,
         act=lambda f, x: f * x,
-        tbar_gens=tuple(tbar_gens),
     )
 
 
@@ -392,26 +390,6 @@ def perfectness_witness(s: RatFunc, t: RatFunc) -> RatFunc:
     if tsq == ctx.one():
         raise FieldError("t^2 = 1 centralizes the root group")
     return s / (ctx.one() - tsq.inverse())
-
-
-def extract_structure(data: TimmesfeldData, torus_gens: Sequence[RatFunc]) -> RankOneStructure:
-    """The structure (L, squares of the torus, action, sigma) from group data.
-
-    Each torus generator must normalize the L-root group: its square and
-    the inverse square must keep every basis element inside L.
-    """
-    ctx = data.L.ctx
-    for t in torus_gens:
-        if t.is_zero():
-            raise FieldError("torus coordinate must be nonzero")
-        sq = t * t
-        for b in data.L.basis:
-            if not data.L.contains(sq * b) or not data.L.contains(b / sq):
-                raise SpecError(
-                    f"torus does not normalize the root group: coordinate "
-                    f"{render_element(t)} moves {render_element(b)} out of L"
-                )
-    return field_structure(ctx, tbar_gens=[t * t for t in torus_gens])
 
 
 def rand_L_element(data: TimmesfeldData, rng: random.Random) -> RatFunc:

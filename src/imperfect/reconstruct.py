@@ -19,12 +19,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .field import Context, RatFunc, render_element
+from .field import Context, ImperfectError, RatFunc, render_element
 from .tower import IndifferentSpec, SpecError
 from .unipotent import RootDatum2, UElement, u_inverse, u_mult
 
 
-class ReconstructError(Exception):
+class ReconstructError(ImperfectError):
     """The oracle failed a diagnostic the theory guarantees."""
 
 

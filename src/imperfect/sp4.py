@@ -34,7 +34,7 @@ from .tower import (
     SubfieldSpec,
     derive_fields,
 )
-from .unipotent import RootDatum2, TorusElement2, UElement, c2_full_datum
+from .unipotent import RootDatum2, TorusElement2, UElement, c2_datum
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ _FULL_DATA: Dict[Context, RootDatum2] = {}
 
 def full_datum(ctx: Context) -> RootDatum2:
     if ctx not in _FULL_DATA:
-        _FULL_DATA[ctx] = c2_full_datum(ctx)
+        _FULL_DATA[ctx] = c2_datum(ctx, None, None)
     return _FULL_DATA[ctx]
 
 
@@ -298,12 +298,6 @@ class Bruhat4:
                 * weyl_rep(self.word, ctx) * u_to_mat(self.u2))
 
 
-def _rank(rows: List[List[RatFunc]], ctx: Context) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return _linalg.rank(rows)
-
-
 def _pivot_rows(g: Mat4) -> Tuple[int, ...]:
     """Pivot row of each column: where the rank of the trailing-row block jumps.
 
@@ -313,7 +307,7 @@ def _pivot_rows(g: Mat4) -> Tuple[int, ...]:
     perm = []
     prev = [0] * 4
     for j in range(4):
-        cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], g.ctx) for i in range(4)]
+        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
         perm.append(max(i for i in range(4) if cur[i] > prev[i]))
         prev = cur
     return tuple(perm)
@@ -416,34 +410,50 @@ def _slot_escape(br: "Bruhat4", spec: IndifferentSpec) -> Optional[Membership]:
     return None
 
 
-def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4) -> Membership:
-    """Membership in the subgroup generated by short-root groups over K0 and
-    long-root groups over L0.
+def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4,
+                    torus: Sequence[TorusElement2] = ()) -> Membership:
+    """Membership in T * PSp4(L0, K0): the subgroup generated by short-root
+    groups over K0 and long-root groups over L0, times the torus elements
+    `torus`.
 
     Unipotent Bruhat coordinates decide negatively slot by slot; the torus
     coordinates are delegated per simple root, decisively so with codim-1
-    data and never answering a false no without it.
+    data and never answering a false no without it. When that direct
+    verdict is not yes, the torus coordinates are tried again divided by
+    each product of one, then two, elements of `torus` or their inverses;
+    the direct verdict stands when none of these is yes.
     """
     br = sp4_bruhat(g)
-    data_short, data_long = _torus_data(spec)
     escape = _slot_escape(br, spec)
     if escape is not None:
+        # a unipotent coordinate escaped; the torus part cannot fix that
         return escape
-    ra = torus_membership(br.s_alpha, data_short, bound)
-    rb = torus_membership(br.s_beta, data_long, bound)
-    if ra.verdict == "yes" and rb.verdict == "yes":
-        return Membership("yes", TorusWitness((ra.witness.factors if ra.witness else [])
-                                              + (rb.witness.factors if rb.witness else [])))
-    if ra.verdict == "no" or rb.verdict == "no":
+    data_short, data_long = _torus_data(spec)
+    pool = [(h.s_alpha, h.s_beta) for h in torus]
+    pool += [(a.inverse(), b.inverse()) for a, b in pool]
+    for depth in (0, 1, 2):
+        for combo in itertools.product(pool, repeat=depth):
+            ta, tb = br.s_alpha, br.s_beta
+            for a, b in combo:
+                ta, tb = ta / a, tb / b
+            ra = torus_membership(ta, data_short, bound)
+            rb = torus_membership(tb, data_long, bound)
+            if ra.verdict == "yes" and rb.verdict == "yes":
+                return Membership(
+                    "yes",
+                    TorusWitness((ra.witness.factors if ra.witness else [])
+                                 + (rb.witness.factors if rb.witness else [])),
+                    reason=f"after removing a depth-{depth} torus part" if depth else "",
+                )
+            if not depth:
+                direct = ra.verdict, rb.verdict
+    va, vb = direct
+    if "no" in direct:
         return Membership(
             "no",
-            reason="torus coordinate outside the generated field "
-            f"(alpha: {ra.verdict}, beta: {rb.verdict})",
+            reason=f"torus coordinate outside the generated field (alpha: {va}, beta: {vb})",
         )
-    return Membership(
-        "unknown",
-        reason=f"torus coordinates undecided (alpha: {ra.verdict}, beta: {rb.verdict})",
-    )
+    return Membership("unknown", reason=f"torus coordinates undecided (alpha: {va}, beta: {vb})")
 
 
 def torus_normalizer_check(s_alpha: RatFunc, s_beta: RatFunc,
@@ -453,10 +463,7 @@ def torus_normalizer_check(s_alpha: RatFunc, s_beta: RatFunc,
     K0 onto itself."""
     if s_alpha.is_zero() or s_beta.is_zero():
         raise FieldError("torus coordinates must be nonzero")
-    for b in spec.K0.basis:
-        if not spec.K0.contains(s_beta * b) or not spec.K0.contains(b / s_beta):
-            return False
-    return True
+    return spec.K0.stable_under(s_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -486,44 +493,11 @@ class Sp4Context:
     def ctx(self) -> Context:
         return self.spec.ctx
 
-    def mult(self, g1: Mat4, g2: Mat4) -> Mat4:
-        return g1 * g2
-
-    def inverse(self, g: Mat4) -> Mat4:
-        return g.inverse()
-
     def torus_matrices(self) -> List[Mat4]:
         return [torus_matrix(h.s_alpha, h.s_beta) for h in self.torus]
 
     def membership(self, g: Mat4, bound: int = 4) -> Membership:
-        direct = membership_psp4(g, self.spec, bound)
-        if direct.verdict == "yes":
-            return direct
-        br = sp4_bruhat(g)
-        if _slot_escape(br, self.spec) is not None:
-            # a unipotent coordinate escaped; the torus part cannot fix that
-            return direct
-        # allow quotienting out a short product of the declared torus part
-        coords = [(h.s_alpha, h.s_beta) for h in self.torus]
-        pool = coords + [(a.inverse(), b.inverse()) for a, b in coords]
-        for depth in (1, 2):
-            for combo in itertools.product(pool, repeat=depth):
-                ta = br.s_alpha
-                tb = br.s_beta
-                for a, b in combo:
-                    ta = ta / a
-                    tb = tb / b
-                data_short, data_long = _torus_data(self.spec)
-                ra = torus_membership(ta, data_short, bound)
-                rb = torus_membership(tb, data_long, bound)
-                if ra.verdict == "yes" and rb.verdict == "yes":
-                    return Membership(
-                        "yes",
-                        TorusWitness((ra.witness.factors if ra.witness else [])
-                                     + (rb.witness.factors if rb.witness else [])),
-                        reason=f"after removing a depth-{depth} torus part",
-                    )
-        return direct
+        return membership_psp4(g, self.spec, bound, self.torus)
 
 
 def build_group_from_M(m: StructureData) -> Sp4Context:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .field import Context, FieldError, RatFunc, parse_element, render_element
+from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, render_element
 from .pbasis import (
     LambdaCoords,
     differential,
@@ -34,7 +34,7 @@ from .pbasis import (
 )
 
 
-class SpecError(ValueError):
+class SpecError(ImperfectError, ValueError):
     """A structurally invalid spec (dependent generators, missing 1, bad reference)."""
 
     def __init__(self, msg: str, where: str = ""):
@@ -42,7 +42,7 @@ class SpecError(ValueError):
         self.where = where
 
 
-class InvariantViolation(AssertionError):
+class InvariantViolation(ImperfectError, AssertionError):
     """Two supposedly equivalent characterizations disagreed."""
 
 
@@ -150,6 +150,10 @@ class RSpaceSpec:
     def contains(self, x: RatFunc) -> bool:
         return self._space.contains(lambda_numerators(x))
 
+    def stable_under(self, f: RatFunc) -> bool:
+        """Whether f * R = R: f * b and b / f lie in R for every basis element b."""
+        return all(self.contains(f * b) and self.contains(b / f) for b in self.basis)
+
     def evaluate(self, coords: Sequence[RatFunc]) -> RatFunc:
         acc = self.ctx.zero()
         for c, b in zip(coords, self.basis):
@@ -247,6 +251,16 @@ def _stabilizer_vectors(R: RSpaceSpec) -> List[List[RatFunc]]:
     return [v[:size] for v in kernel]
 
 
+def _greedy_gens(candidates: Sequence[RatFunc], ctx: Context) -> List[RatFunc]:
+    """A p-basis of K^p[candidates]: each candidate in turn that lies outside
+    the field generated by the ones kept before it."""
+    gens: List[RatFunc] = []
+    for a in candidates:
+        if not SubfieldSpec("_probe", gens, ctx).contains(a):
+            gens.append(a)
+    return gens
+
+
 def stabilizer_field(R: RSpaceSpec, name: Optional[str] = None) -> SubfieldSpec:
     """Generators for the multiplicative stabilizer {a : a*R <= R}, always a field."""
     ctx = R.ctx
@@ -265,12 +279,7 @@ def stabilizer_field(R: RSpaceSpec, name: Optional[str] = None) -> SubfieldSpec:
             a = RatFunc(ctx, num, ctx.const_poly(1))
         elements.append(a)
     elements.sort(key=lambda a: (a.num.total_degree(), render_element(a)))
-    gens: List[RatFunc] = []
-    for a in elements:
-        probe = SubfieldSpec("_probe", gens, ctx)
-        if not probe.contains(a):
-            gens.append(a)
-    got = SubfieldSpec(name or f"stab({R.name})", gens, ctx)
+    got = SubfieldSpec(name or f"stab({R.name})", _greedy_gens(elements, ctx), ctx)
     if len(vecs) != got.dim_over_p:
         raise InvariantViolation(
             f"stabilizer of {R.name} is not a field presentation: "
@@ -527,13 +536,7 @@ def validate_indifferent(spec: IndifferentSpec) -> ValidationReport:
     )
 
     if not spec.weak:
-        gens: List[RatFunc] = []
-        for a in list(spec.E0.gens) + list(spec.K0.basis):
-            if a.is_zero() or a.is_one():
-                continue
-            probe = SubfieldSpec("_probe", gens, ctx)
-            if not probe.contains(a):
-                gens.append(a)
+        gens = _greedy_gens(spec.E0.gens + spec.K0.basis, ctx)
         report.add(
             "K0-generates-K",
             len(gens) == ctx.n,

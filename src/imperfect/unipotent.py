@@ -46,7 +46,6 @@ class RootDatum2:
     slots: List[Slot]
     relations: Dict[Tuple[int, int], Callable[[RatFunc, RatFunc], List[Tuple[int, RatFunc]]]]
     exponents: Dict[int, Tuple[int, int]]
-    check: bool = True
 
     @property
     def nslots(self) -> int:
@@ -61,7 +60,7 @@ class RootDatum2:
     def generator(self, slot: int, coord: RatFunc) -> "UElement":
         if not 1 <= slot <= self.nslots:
             raise SpecError(f"no slot {slot}")
-        if self.check and not _domain_contains(self.slot(slot).domain, coord):
+        if not _domain_contains(self.slot(slot).domain, coord):
             raise SpecError(
                 f"coordinate {render_element(coord)} is outside the domain of slot {slot}"
             )
@@ -70,7 +69,7 @@ class RootDatum2:
         return UElement(self, tuple(coords))
 
 
-def g2_datum(ctx: Context, k: SubfieldSpec, check: bool = True) -> RootDatum2:
+def g2_datum(ctx: Context, k: SubfieldSpec) -> RootDatum2:
     """Hexagon data: slots 1..6, odd short over K, even long over k.
 
     Nontrivial commutators, with all values landing strictly between the
@@ -102,15 +101,15 @@ def g2_datum(ctx: Context, k: SubfieldSpec, check: bool = True) -> RootDatum2:
         Slot(6, "long", k),
     ]
     exponents = {1: (2, -1), 2: (3, -1), 3: (1, 0), 4: (0, 1), 5: (-1, 1), 6: (-3, 2)}
-    return RootDatum2("G2", ctx, slots, {(1, 5): r15, (2, 6): r26, (1, 6): r16},
-                      exponents, check)
+    return RootDatum2("G2", ctx, slots, {(1, 5): r15, (2, 6): r26, (1, 6): r16}, exponents)
 
 
-def c2_datum(ctx: Context, K0: RSpaceSpec, L0: RSpaceSpec, check: bool = True) -> RootDatum2:
+def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -> RootDatum2:
     """Quadrangle data: slots 1,3 short over K0 and 2,4 long over L0.
 
     The single nontrivial commutator is [x1(t), x4(a)] = x2(t^2 a) x3(t a);
     its values stay in K0/L0 exactly when (L0, K0) is an indifferent pair.
+    With K0 = L0 = None every coordinate is allowed (the matrix group's datum).
     """
     if ctx.p != 2:
         raise FieldError("the quadrangle datum lives in characteristic 2")
@@ -125,21 +124,7 @@ def c2_datum(ctx: Context, K0: RSpaceSpec, L0: RSpaceSpec, check: bool = True) -
         Slot(4, "long", L0),
     ]
     exponents = {1: (2, -1), 2: (2, 0), 3: (0, 1), 4: (-2, 2)}
-    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents, check)
-
-
-def c2_full_datum(ctx: Context) -> RootDatum2:
-    """Quadrangle data with unrestricted coordinates (used by the matrix group)."""
-    if ctx.p != 2:
-        raise FieldError("the quadrangle datum lives in characteristic 2")
-
-    def r14(t, a):
-        return [(2, t * t * a), (3, t * a)]
-
-    slots = [Slot(1, "short", None), Slot(2, "long", None),
-             Slot(3, "short", None), Slot(4, "long", None)]
-    exponents = {1: (2, -1), 2: (2, 0), 3: (0, 1), 4: (-2, 2)}
-    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents, check=False)
+    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents)
 
 
 @dataclass(frozen=True)
@@ -187,13 +172,12 @@ def _finish(datum: RootDatum2, word: List[Tuple[int, RatFunc]]) -> "UElement":
     for s, c in word:
         coords[s - 1] = coords[s - 1] + c
     out = UElement(datum, tuple(coords))
-    if datum.check:
-        for s, c in out.word():
-            if not _domain_contains(datum.slot(s).domain, c):
-                raise SpecError(
-                    f"collection produced an out-of-domain coordinate in slot {s}: "
-                    f"{render_element(c)} (invalid datum)"
-                )
+    for s, c in out.word():
+        if not _domain_contains(datum.slot(s).domain, c):
+            raise SpecError(
+                f"collection produced an out-of-domain coordinate in slot {s}: "
+                f"{render_element(c)} (invalid datum)"
+            )
     return out
 
 
@@ -364,10 +348,8 @@ def torus_normalizes(h: TorusElement2, datum: RootDatum2) -> bool:
             # a field is stabilized by f exactly when f lies in it
             if not d.contains(f):
                 return False
-        else:
-            for b in d.basis:
-                if not d.contains(f * b) or not d.contains(b / f):
-                    return False
+        elif not d.stable_under(f):
+            return False
     return True
 
 

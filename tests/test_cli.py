@@ -3,7 +3,7 @@ import time
 
 from imperfect import cli, suite
 from imperfect.cli import main
-from imperfect.field import parse_element
+from imperfect.field import ParseError, parse_element
 from imperfect.presets import Bundle, write_preset
 from imperfect.reconstruct import ReconstructError
 
@@ -51,6 +51,13 @@ def test_field_eval_huge_power_is_a_parse_error(capsys):
     assert out == ""
     assert err.startswith("error:") and "exceeds the limit" in err
     assert "Traceback" not in err
+
+
+def test_field_eval_too_many_digits_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "field", "eval", "t^" + "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: number too long (at position 2)\n"
 
 
 def test_field_eval_bad_characteristic(capsys):
@@ -297,14 +304,17 @@ def test_suite_run_unknown_warns(capsys):
 
 
 def test_suite_records_reconstruct_error_as_failure(monkeypatch):
-    def broken(cfg, rng, inst):
-        raise ReconstructError("pairing fails linearity on the first slot")
-
     monkeypatch.setattr(suite, "_instances", lambda cfg: {})
-    monkeypatch.setattr(suite, "_CHECKS", {"a.broken": broken, "b.fine": lambda *args: None})
-    rep = suite.run_suite(suite.SuiteConfig(seed=0))
-    assert [(c.name, c.status) for c in rep.checks] == [("a.broken", "fail"), ("b.fine", "pass")]
-    assert rep.checks[0].detail == "unexpected error: pairing fails linearity on the first slot"
+    for error in (ReconstructError("pairing fails linearity on the first slot"),
+                  ParseError("unexpected character '%'", 2)):
+        def broken(cfg, rng, inst):
+            raise error
+
+        monkeypatch.setattr(suite, "_CHECKS", {"a.broken": broken, "b.fine": lambda *args: None})
+        rep = suite.run_suite(suite.SuiteConfig(seed=0))
+        assert [(c.name, c.status) for c in rep.checks] == [("a.broken", "fail"),
+                                                             ("b.fine", "pass")]
+        assert rep.checks[0].detail == f"unexpected error: {error}"
 
 
 def test_reconstruct_error_is_exit_one(monkeypatch, capsys):

@@ -193,6 +193,28 @@ def test_parse_rejects_powers_over_the_degree_budget():
         assert e.value.pos == pos
 
 
+def test_parse_rejects_numbers_over_the_digit_limit():
+    # Python refuses int() on more than 4300 digits; the parser says where
+    assert parse_element("1" * 4300, CTX5) == CTX5.scalar(int("1" * 4300) % 5)
+    for bad, pos in (("9" * 5000 + "*t", 0), ("t+" + "1" * 5000, 2), ("t^" + "9" * 5000, 2)):
+        with pytest.raises(ParseError, match="number too long") as e:
+            parse_element(bad, CTX2)
+        assert e.value.pos == pos
+    # only ASCII digits start a number
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        parse_element("t^\u00b2", CTX2)
+    assert e.value.pos == 2
+
+
+def test_package_errors_share_one_base():
+    from imperfect import ImperfectError, InvariantViolation, ReconstructError, SpecError
+
+    for err, builtin in ((FieldError, ArithmeticError), (ParseError, ValueError),
+                         (SpecError, ValueError), (InvariantViolation, AssertionError),
+                         (ReconstructError, Exception)):
+        assert issubclass(err, ImperfectError) and issubclass(err, builtin)
+
+
 def test_division_by_zero_detected_through_parse():
     with pytest.raises(ParseError):
         parse_element("1/(t+t)", CTX2)

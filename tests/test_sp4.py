@@ -1,15 +1,19 @@
+import itertools
 import random
 
 import pytest
 
+from imperfect import _linalg
 from imperfect.field import Context, FieldError
 from imperfect.presets import Bundle
+from imperfect.rank1 import Membership, TorusWitness, torus_membership
 from imperfect.rank1 import gen as sl2_gen
 from imperfect.sp4 import (
     _CHAMBER,
     _WEYL_PERM,
     _pivot_rows,
-    _rank,
+    _slot_escape,
+    _torus_data,
     SLOT_ROOT,
     WEYL_WORDS,
     Bruhat4,
@@ -278,8 +282,8 @@ def full_rank_pivot_rows(g):
     both rank lists of every column ranked afresh."""
     perm = []
     for j in range(4):
-        prev = [_rank([list(g.rows[r][:j]) for r in range(i, 4)], g.ctx) for i in range(4)]
-        cur = [_rank([list(g.rows[r][: j + 1]) for r in range(i, 4)], g.ctx) for i in range(4)]
+        prev = [_linalg.rank([list(g.rows[r][:j]) for r in range(i, 4)]) for i in range(4)]
+        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
         perm.append(max(i for i in range(4) if cur[i] > prev[i]))
     return tuple(perm)
 
@@ -461,6 +465,108 @@ def test_group_membership_with_torus_part():
         g = rand_word_matrix(spec, rng, length=4) * h
         r = group.membership(g)
         assert r.verdict == "yes", r.reason
+
+
+# the two membership procedures as they were before membership_psp4 took
+# the torus quotient search over; kept as the oracle for the folded one
+
+
+def old_membership_psp4(g, spec, bound=4):
+    br = sp4_bruhat(g)
+    data_short, data_long = _torus_data(spec)
+    escape = _slot_escape(br, spec)
+    if escape is not None:
+        return escape
+    ra = torus_membership(br.s_alpha, data_short, bound)
+    rb = torus_membership(br.s_beta, data_long, bound)
+    if ra.verdict == "yes" and rb.verdict == "yes":
+        return Membership("yes", TorusWitness((ra.witness.factors if ra.witness else [])
+                                              + (rb.witness.factors if rb.witness else [])))
+    if ra.verdict == "no" or rb.verdict == "no":
+        return Membership(
+            "no",
+            reason="torus coordinate outside the generated field "
+            f"(alpha: {ra.verdict}, beta: {rb.verdict})",
+        )
+    return Membership(
+        "unknown",
+        reason=f"torus coordinates undecided (alpha: {ra.verdict}, beta: {rb.verdict})",
+    )
+
+
+def old_group_membership(group, g, bound=4):
+    direct = old_membership_psp4(g, group.spec, bound)
+    if direct.verdict == "yes":
+        return direct
+    br = sp4_bruhat(g)
+    if _slot_escape(br, group.spec) is not None:
+        return direct
+    coords = [(h.s_alpha, h.s_beta) for h in group.torus]
+    pool = coords + [(a.inverse(), b.inverse()) for a, b in coords]
+    for depth in (1, 2):
+        for combo in itertools.product(pool, repeat=depth):
+            ta = br.s_alpha
+            tb = br.s_beta
+            for a, b in combo:
+                ta = ta / a
+                tb = tb / b
+            data_short, data_long = _torus_data(group.spec)
+            ra = torus_membership(ta, data_short, bound)
+            rb = torus_membership(tb, data_long, bound)
+            if ra.verdict == "yes" and rb.verdict == "yes":
+                return Membership(
+                    "yes",
+                    TorusWitness((ra.witness.factors if ra.witness else [])
+                                 + (rb.witness.factors if rb.witness else [])),
+                    reason=f"after removing a depth-{depth} torus part",
+                )
+    return direct
+
+
+def _summary(m):
+    return m.verdict, m.reason, m.witness.to_json() if m.witness else None
+
+
+def test_membership_matches_the_two_old_procedures():
+    proper = proper_spec()
+    t, u, v = proper.ctx.gens()
+    one = proper.ctx.one()
+    rng = random.Random(12)
+    cases = []
+    for name in ("indifferent-weak", "indifferent-proper"):
+        group = Bundle.load(name).sp4()
+        h = group.torus_matrices()[0]
+        outside = group.ctx.gens()[-1]  # outside L0, and outside K0 when K0 is proper
+        for k in range(6):
+            g = rand_word_matrix(group.spec, rng, length=4)
+            if k % 2:
+                g = g * h
+            cases += [(group, g),
+                      (group, g * chevalley_gen(Sp4Root(("beta", "-alpha")[k % 2]), outside))]
+    # undecided: L0 has no codimension-one split to decide v
+    group = Bundle.load("indifferent-proper").sp4()
+    cases += [(group, torus_matrix(v, one)),
+              (group, chevalley_gen(Sp4Root("alpha"), u) * torus_matrix(v, one))]
+    # reachable torus quotients
+    by_v = build_group_from_M(StructureData(proper, [(v, one)]))
+    by_uv = build_group_from_M(StructureData(proper, [(v, one), (u, one)]))
+    cases += [(by_v, torus_matrix(v, v)), (by_uv, torus_matrix(u * v, u * v)),
+              (by_uv, torus_matrix(u, v))]
+    seen = set()
+    for group, g in cases:
+        got = _summary(group.membership(g))
+        assert got == _summary(old_group_membership(group, g))
+        assert _summary(membership_psp4(g, group.spec)) == _summary(
+            old_membership_psp4(g, group.spec))
+        seen.add((got[0], got[1].split(" ")[0]))
+    # every branch of the procedure was reached
+    assert seen == {("yes", ""), ("no", "slot"), ("unknown", "torus"), ("no", "torus"),
+                    ("yes", "after")}
+    assert membership_psp4(torus_matrix(v, v), proper).verdict == "no"
+    assert by_v.membership(torus_matrix(v, v)).reason == "after removing a depth-1 torus part"
+    assert by_uv.membership(torus_matrix(u * v, u * v)).reason == (
+        "after removing a depth-2 torus part")
+    assert by_uv.membership(torus_matrix(u, v)).verdict == "no"
 
 
 def test_perfectness_witness_all_slots():

@@ -211,6 +211,30 @@ def test_indifferent_detects_unstable_k0():
     assert "K0-stable-under-L0-field" in failed
 
 
+def test_stable_under_matches_the_basis_loop():
+    def old_loop(R, f):
+        for b in R.basis:
+            if not R.contains(f * b) or not R.contains(b / f):
+                return False
+        return True
+
+    rng = random.Random(5)
+    spec = Bundle.load("indifferent-proper").cfg.indifferent
+    ctx = spec.ctx
+    t, u, v = ctx.gens()
+    spaces = [spec.K0, spec.L0, RSpaceSpec("R1", kp(ctx), [ctx.one(), t, u])]
+    seen = set()
+    for R in spaces:
+        fs = [t, u, v, t * t, u * v, t + ctx.one(), (t * t + v * v) / (u * u)]
+        fs += [R.rand_element(rng, nonzero=True) for _ in range(4)]
+        fs += [R.over.rand_element(rng, nonzero=True) for _ in range(4)]
+        for f in fs:
+            got = R.stable_under(f)
+            assert got == old_loop(R, f)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_indifferent_proper_requires_full_degree():
     t, u, v = CTX.gens()
     # K^2[t, u] has degree 4 < 8, so the proper form fails while weak passes

@@ -8,7 +8,6 @@ from imperfect.tower import InvariantViolation, SpecError, SubfieldSpec
 from imperfect.unipotent import (
     TorusElement2,
     c2_datum,
-    c2_full_datum,
     center_member,
     centralizes,
     commutator,
@@ -53,7 +52,7 @@ def test_wrong_characteristic_rejected():
     with pytest.raises(FieldError):
         g2_datum(CTX2, k2)
     with pytest.raises(FieldError):
-        c2_full_datum(CTX3)
+        c2_datum(CTX3, None, None)
 
 
 def test_generator_and_identity_basics():
