@@ -1,10 +1,9 @@
 """Tiny exact linear algebra over a field of RatFunc-like elements.
 
-Matrices are lists of rows; rows are lists of elements supporting
-+, -, *, /, unary -, and truthiness (nonzero test). Systems here are
-small (at most a few dozen rows/columns), so plain fraction-reducing
-Gaussian elimination is the right tool. A span that answers many
-membership queries is eliminated once, in ColumnSpace.
+Matrices are lists of rows of RatFuncs. Systems here are small (at most a
+few dozen rows/columns). Spans and kernels use plain fraction-reducing
+Gaussian elimination; a span that answers many membership queries is
+eliminated once, in ColumnSpace. Rank runs fraction-free Bareiss.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from .field import RatFunc, exact_div, poly_gcd
 
 def _weight(x) -> int:
     """Complexity of an entry, used to pick pivots that limit blowup."""
-    try:
-        return len(x.num.terms) * len(x.den.terms)
-    except AttributeError:
-        return 1
+    return len(x.num.terms) * len(x.den.terms)
 
 
 def _rref(rows: List[list], ncols: Optional[int] = None) -> Tuple[List[list], List[int]]:
@@ -59,22 +55,6 @@ def _rref(rows: List[list], ncols: Optional[int] = None) -> Tuple[List[list], Li
         if r == len(m):
             break
     return m, pivots
-
-
-def _poly_rows(rows: List[list]) -> Optional[List[list]]:
-    """Numerator matrix when every entry is a denominator-free RatFunc."""
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            try:
-                if not x.den.is_one():
-                    return None
-                r.append(x.num)
-            except AttributeError:
-                return None
-        out.append(r)
-    return out
 
 
 def _rank_bareiss(mat: List[list]) -> int:
@@ -128,11 +108,12 @@ def _rank_bareiss(mat: List[list]) -> int:
 
 
 def rank(rows: List[list]) -> int:
-    poly = _poly_rows(rows)
-    if poly is not None:
-        return _rank_bareiss(poly)
-    _, pivots = _rref(rows)
-    return len(pivots)
+    """Rank by Bareiss, after scaling each row by the lcm of its denominators."""
+    mat = []
+    for row in rows:
+        lcm = _den_lcm(row[0].ctx, row) if row else None  # an empty row stays empty
+        mat.append([x.num if lcm.is_one() else x.num * exact_div(lcm, x.den) for x in row])
+    return _rank_bareiss(mat)
 
 
 def nullspace(rows: List[list], field) -> List[list]:
@@ -222,14 +203,19 @@ def _as_ratfunc(field, f):
 
 def _cleared(field, entries):
     """The lcm L of the entries' denominators, and the nonzero entries times L."""
-    lcm = field.const_poly(1)
-    for _, e in entries:
-        if e and not e.den.is_one():
-            lcm = lcm * exact_div(e.den, poly_gcd(lcm, e.den))
+    lcm = _den_lcm(field, [e for _, e in entries])
     terms = [
         (k, _as_ratfunc(field, e.num * exact_div(lcm, e.den))) for k, e in entries if e
     ]
     return lcm, terms
+
+
+def _den_lcm(field, xs):
+    lcm = field.const_poly(1)
+    for x in xs:
+        if x and not x.den.is_one():
+            lcm = lcm * exact_div(x.den, poly_gcd(lcm, x.den))
+    return lcm
 
 
 def _dot(terms, b, acc):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .field import Context, RatFunc, parse_element
 from .rank1 import TimmesfeldData

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .field import Context, ImperfectError, RatFunc, render_element
-from .tower import IndifferentSpec, SpecError
+from .field import ImperfectError, RatFunc, render_element
+from .tower import SpecError
 from .unipotent import RootDatum2, UElement, u_inverse, u_mult
 
 
@@ -277,9 +277,6 @@ class G2Recovered:
     def m2_line(self, e: OpaqueElem, f: OpaqueElem) -> OpaqueElem:
         return self._c(self._c(e, f), self.oracle.params["u6"])
 
-    def m5_line(self, e: OpaqueElem, f: OpaqueElem) -> OpaqueElem:
-        return self._c(self._c(e, f), self.oracle.params["u1"])
-
     # carriers
     def is_K(self, r: PairRep) -> bool:
         o = self.oracle
@@ -415,10 +412,6 @@ class C2Recovered:
         o = self.oracle
         return K0Rep(o.mul(r1.e, r2.e), o.mul(r1.z3, r2.z3),
                      o.mul(r1.g2, r2.g2), o.mul(r1.z2, r2.z2))
-
-    def add_L0(self, r1: L0Rep, r2: L0Rep) -> L0Rep:
-        o = self.oracle
-        return L0Rep(o.mul(r1.g, r2.g), o.mul(r1.z2, r2.z2))
 
     def square(self, r: K0Rep) -> L0Rep:
         """t -> t^2 lands in L0; its representation is already carried."""

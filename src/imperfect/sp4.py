@@ -17,7 +17,6 @@ anything else is trusted.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

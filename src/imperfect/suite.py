@@ -17,12 +17,12 @@ from . import pbasis
 from .field import (Context, ImperfectError, frobenius, parse_element, pth_root,
                     render_element)
 from .presets import Bundle
-from .rank1 import (TimmesfeldData, bruhat2, factor_codim1, field_structure,
-                    gen, mult_bruhat, perfectness_witness, rand_L_element,
-                    rand_L_word, torus_membership)
+from .rank1 import (bruhat2, factor_codim1, field_structure, gen, mult_bruhat,
+                    perfectness_witness, rand_L_element, rand_L_word,
+                    torus_membership)
 from .tower import validate_indifferent, validate_tower
-from .unipotent import (TorusElement2, commutator, torus_act, u_inverse,
-                        u_mult, u_mult_alt, z2_member, center_member)
+from .unipotent import (TorusElement2, torus_act, u_inverse, u_mult, u_mult_alt,
+                        z2_member, center_member)
 
 
 @dataclass

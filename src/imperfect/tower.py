@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
 from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, render_element
@@ -151,8 +151,8 @@ class RSpaceSpec:
         return self._space.contains(lambda_numerators(x))
 
     def stable_under(self, f: RatFunc) -> bool:
-        """Whether f * R = R: f * b and b / f lie in R for every basis element b."""
-        return all(self.contains(f * b) and self.contains(b / f) for b in self.basis)
+        """Whether f * R = R: f != 0 and f * b in R for each basis b (f * R has full dimension)."""
+        return not f.is_zero() and all(self.contains(f * b) for b in self.basis)
 
     def evaluate(self, coords: Sequence[RatFunc]) -> RatFunc:
         acc = self.ctx.zero()

@@ -4,10 +4,10 @@ Two data ship: the hexagon presentation in characteristic 3 (six root
 groups, short slots carrying full-field coordinates and long slots
 carrying coordinates from a designated subfield) and the quadrangle
 presentation in characteristic 2 (four root groups over an inclusion
-pair K0, L0). Multiplication is generic collection against the
-commutator table; nothing relies on a closed product formula. A second,
-structurally different collection (right-to-left insertion) exists
-purely to cross-check the first.
+pair K0, L0). Each datum carries its commutator table and the closed-form
+product and inverse that collecting the table once gives; its constructor
+proves that they keep every coordinate in its slot's domain. Collection
+against the table (`u_mult_alt`) exists purely to cross-check the formulas.
 
 Torus elements act slot-wise through a fixed exponent table; the action
 being an automorphism of the presentation is the oracle that pins the
@@ -17,13 +17,14 @@ table down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .field import Context, FieldError, RatFunc, parse_element, render_element
 from .tower import InvariantViolation, RSpaceSpec, SpecError, SubfieldSpec
 
 Domain = Union[None, SubfieldSpec, RSpaceSpec]
+Coords = Tuple[RatFunc, ...]
 
 
 def _domain_contains(d: Domain, x: RatFunc) -> bool:
@@ -46,6 +47,8 @@ class RootDatum2:
     slots: List[Slot]
     relations: Dict[Tuple[int, int], Callable[[RatFunc, RatFunc], List[Tuple[int, RatFunc]]]]
     exponents: Dict[int, Tuple[int, int]]
+    mul: Callable[[Coords, Coords], Coords]  # the group law on normal-form coordinates
+    inv: Callable[[Coords], Coords]
 
     @property
     def nslots(self) -> int:
@@ -77,9 +80,30 @@ def g2_datum(ctx: Context, k: SubfieldSpec) -> RootDatum2:
       [x1(a), x5(b)] = x3(-ab)
       [x2(t), x6(u)] = x4(tu)
       [x1(a), x6(t)] = x2(-t a^3) x3(t a^2) x4(t^2 a^3) x5(-t a)
+
+    Collected once, they give the product `mul` and the inverse `inv` below,
+    which need no closure check: each long-slot term is a product of long
+    coordinates and cubes, and every subfield k contains K^3.
     """
     if ctx.p != 3:
         raise FieldError("the hexagon datum lives in characteristic 3")
+
+    def mul(a, b):
+        a1, a2, a3, a4, a5, a6 = a
+        b1, b2, b3, b4, b5, b6 = b
+        a6b1 = a6 * b1
+        a6b1_2 = a6b1 * b1
+        a6b1_3 = a6b1_2 * b1
+        return (a1 + b1, a2 + b2 + a6b1_3, a3 + b3 + a5 * b1 - a6b1_2,
+                a4 + b4 + a6 * (a6b1_3 - b2), a5 + b5 + a6b1, a6 + b6)
+
+    def inv(a):
+        a1, a2, a3, a4, a5, a6 = a
+        a6a1 = a6 * a1
+        a6a1_2 = a6a1 * a1
+        a6a1_3 = a6a1_2 * a1
+        return (-a1, a6a1_3 - a2, a5 * a1 + a6a1_2 - a3, -a4 - a6 * (a2 + a6a1_3),
+                a6a1 - a5, -a6)
 
     def r15(a, b):
         return [(3, -(a * b))]
@@ -101,21 +125,46 @@ def g2_datum(ctx: Context, k: SubfieldSpec) -> RootDatum2:
         Slot(6, "long", k),
     ]
     exponents = {1: (2, -1), 2: (3, -1), 3: (1, 0), 4: (0, 1), 5: (-1, 1), 6: (-3, 2)}
-    return RootDatum2("G2", ctx, slots, {(1, 5): r15, (2, 6): r26, (1, 6): r16}, exponents)
+    return RootDatum2("G2", ctx, slots, {(1, 5): r15, (2, 6): r26, (1, 6): r16},
+                      exponents, mul, inv)
 
 
 def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -> RootDatum2:
     """Quadrangle data: slots 1,3 short over K0 and 2,4 long over L0.
 
-    The single nontrivial commutator is [x1(t), x4(a)] = x2(t^2 a) x3(t a);
-    its values stay in K0/L0 exactly when (L0, K0) is an indifferent pair.
-    With K0 = L0 = None every coordinate is allowed (the matrix group's datum).
+    The single nontrivial commutator is [x1(t), x4(a)] = x2(t^2 a) x3(t a).
+    Collected once on coordinates (t, b, c, a), it gives the product `mul`
+    and the inverse `inv` below, whose only new terms are t^2 a and t a.
+    These lie in L0 and K0 for all t in K0, a in L0 exactly when k_i l_j lies
+    in K0 for the bases k_i of K0 and l_j of L0, which is checked here once:
+    t^2 lies in K^2 and L0 is a K^2-space, and with t = sum e_i k_i (e_i in
+    the scalar field E0 >= K^2 of K0) and a = sum c_j^2 l_j we get
+    t a = sum (e_i c_j^2) k_i l_j. With K0 = L0 = None every coordinate is
+    allowed (the matrix group's datum).
     """
     if ctx.p != 2:
         raise FieldError("the quadrangle datum lives in characteristic 2")
+    if (K0 is None) != (L0 is None) or (L0 is not None and L0.over.gens):
+        raise SpecError("the quadrangle datum takes K0 and a K^2-space L0, or neither")
+    for k in K0.basis if K0 is not None else ():
+        for l in L0.basis:
+            if not K0.contains(k * l):
+                raise SpecError(f"{render_element(k)} in K0 times {render_element(l)} "
+                                f"in L0 is {render_element(k * l)}, which is not in K0")
 
     def r14(t, a):
         return [(2, t * t * a), (3, t * a)]
+
+    def mul(x, y):
+        t, b, c, a = x
+        t2, b2, c2, a2 = y
+        at2 = a * t2
+        return (t + t2, b + b2 + at2 * t2, c + c2 + at2, a + a2)
+
+    def inv(x):
+        t, b, c, a = x
+        at = a * t
+        return (t, b + at * t, c + at, a)
 
     slots = [
         Slot(1, "short", K0),
@@ -124,7 +173,7 @@ def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -
         Slot(4, "long", L0),
     ]
     exponents = {1: (2, -1), 2: (2, 0), 3: (0, 1), 4: (-2, 2)}
-    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents)
+    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents, mul, inv)
 
 
 @dataclass(frozen=True)
@@ -182,32 +231,10 @@ def _finish(datum: RootDatum2, word: List[Tuple[int, RatFunc]]) -> "UElement":
 
 
 def u_mult(x: UElement, y: UElement) -> UElement:
-    """Product in normal form by left-to-right bubble collection."""
-    datum = x.datum
-    if datum is not y.datum:
+    """Product in normal form, by the datum's closed-form group law."""
+    if x.datum is not y.datum:
         raise SpecError("elements come from different data")
-    w = x.word() + y.word()
-    for _ in range(10000):
-        changed = False
-        i = 0
-        while i + 1 < len(w):
-            s1, c1 = w[i]
-            s2, c2 = w[i + 1]
-            if s1 == s2:
-                m = c1 + c2
-                w[i : i + 2] = [(s1, m)] if not m.is_zero() else []
-                changed = True
-                i = max(i - 1, 0)
-                continue
-            if s1 > s2:
-                repl = [(s2, c2), (s1, c1)]
-                repl += [g for g in _comm_negated(datum, s2, s1, c2, c1) if not g[1].is_zero()]
-                w[i : i + 2] = repl
-                changed = True
-            i += 1
-        if not changed:
-            return _finish(datum, w)
-    raise InvariantViolation("collection did not terminate")
+    return UElement(x.datum, x.datum.mul(x.coords, y.coords))
 
 
 def _push(datum: RootDatum2, word: List[Tuple[int, RatFunc]], s: int, c: RatFunc):
@@ -238,12 +265,7 @@ def u_mult_alt(x: UElement, y: UElement) -> UElement:
 
 
 def u_inverse(x: UElement) -> UElement:
-    datum = x.datum
-    word = [(s, -c) for s, c in reversed(x.word())]
-    out = datum.identity()
-    for s, c in word:
-        out = u_mult(out, datum.generator(s, c))
-    return out
+    return UElement(x.datum, x.datum.inv(x.coords))
 
 
 def commutator(x: UElement, y: UElement) -> UElement:

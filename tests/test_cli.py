@@ -186,6 +186,20 @@ def test_u_mult_quadrangle(capsys):
     assert out.strip() == "x1(t)*x2(t^2*u)*x3(t*u)*x4(u)"
 
 
+def test_u_on_a_non_closed_quadrangle_config_is_exit_one(tmp_path, capsys):
+    # t*u leaves K0 = span_{K^2}{1, t, u}, so products could leave the domains
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "p": 2, "vars": ["t", "u"],
+        "indifferent": {"L0": {"basis": ["1", "t"]}, "K0": {"basis": ["1", "t", "u"]}},
+    }))
+    code, out, err = run(capsys, "u", "mult", "--kind", "c2", "--config", str(path),
+                         "x1(u)", "x4(t)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: u in K0 times t in L0 is t*u, which is not in K0\n"
+
+
 def test_u_center(capsys):
     code, out, _ = run(capsys, "u", "center", "--kind", "g2",
                        "--config", "g2", "x4(s)")

@@ -98,6 +98,33 @@ def test_column_space_matches_fresh_elimination(p, n):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("p,n", CASES)
+def test_rank_with_denominators_matches_rref(p, n):
+    """rank clears row denominators and runs Bareiss; _rref reduces fractions."""
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(300 * p + n)
+    ranks = set()
+    fractions = 0
+    for trial in range(10):
+        # small shapes: _rref's fraction arithmetic can take half a minute on a
+        # 4 x 4 matrix of such entries in three variables
+        width = rng.randint(1, 3)
+        rows = [[ctx.rand_ratfunc(rng, max_deg=1, max_terms=2) for _ in range(width)]
+                for _ in range(rng.randint(1, 2))]
+        rows[0] = [x / (ctx.gens()[0] + ctx.one()) for x in rows[0]]
+        if trial % 2:
+            # a combination of the others makes the rows dependent
+            rows.append(combine(rows, rand_coeffs(rng, ctx, len(rows)), ctx))
+        if trial % 3 == 0:
+            rows.append([ctx.zero()] * width)
+        fractions += any(not x.den.is_one() for row in rows for x in row)
+        got = _linalg.rank(rows)
+        assert got == len(_linalg._rref(rows)[1])
+        ranks.add(got == min(len(rows), width))
+    assert ranks == {True, False}  # both full and deficient rank were seen
+    assert fractions >= 8
+
+
 def test_column_space_entries_with_denominators():
     ctx = Context(3, ("s", "v"))
     s, v = ctx.gens()

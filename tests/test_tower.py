@@ -232,6 +232,7 @@ def test_stable_under_matches_the_basis_loop():
             got = R.stable_under(f)
             assert got == old_loop(R, f)
             seen.add(got)
+        assert not R.stable_under(ctx.zero())  # 0 * R = {0}
     assert seen == {True, False}
 
 

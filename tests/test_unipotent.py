@@ -161,15 +161,85 @@ def test_inverse_random():
 
 
 def test_closure_never_escapes_domains():
-    for datum, seed in ((hex_datum(), 7), (quad_datum(), 8)):
+    proper = Bundle.load("indifferent-proper").c2()
+    for datum, seed in ((hex_datum(), 7), (quad_datum(), 8), (proper, 13)):
         rng = random.Random(seed)
         for _ in range(40):
             x = rand_elem(datum, rng, spread=1)
             y = rand_elem(datum, rng, spread=1)
-            g = u_mult(x, y)
-            for i, c in g.word():
-                d = datum.slot(i).domain
-                assert d is None or d.contains(c)
+            for g in (u_mult(x, y), u_inverse(x)):
+                for i, c in g.word():
+                    d = datum.slot(i).domain
+                    assert d is None or d.contains(c)
+
+
+def pattern_elem(datum, rng, mask):
+    """An element whose nonzero slots are the set bits of mask.
+
+    About half the coordinates are divided by a p-th power, which keeps
+    them in their domain (every domain is a space over K^p), so restricted
+    and unrestricted slots alike carry denominators.
+    """
+    ctx = datum.ctx
+    coords = []
+    for i, slot in enumerate(datum.slots):
+        if not mask >> i & 1:
+            coords.append(ctx.zero())
+            continue
+        c = (slot.domain.rand_element(rng, nonzero=True) if slot.domain is not None
+             else ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True,
+                                   denominators=False))
+        if rng.random() < 0.5:
+            c = c / ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True,
+                                     denominators=False) ** ctx.p
+        coords.append(c)
+    return datum.identity().__class__(datum, tuple(coords))
+
+
+def test_closed_form_matches_collection_on_every_zero_pattern():
+    full = c2_datum(CTX2, None, None)
+    proper = Bundle.load("indifferent-proper").c2()
+    for datum, seed in ((hex_datum(), 14), (proper, 15), (full, 16)):
+        rng = random.Random(seed)
+        n = datum.nslots
+        fractions = 0
+        for mask in range(2 ** n):
+            x = pattern_elem(datum, rng, mask)
+            assert [s for s, _ in x.word()] == [i + 1 for i in range(n) if mask >> i & 1]
+            for y in (pattern_elem(datum, rng, rng.randrange(2 ** n)),
+                      pattern_elem(datum, rng, 2 ** n - 1 - mask)):
+                assert u_mult(x, y) == u_mult_alt(x, y)
+                assert u_mult(y, x) == u_mult_alt(y, x)
+            xinv = u_inverse(x)
+            assert u_mult_alt(x, xinv).is_identity()
+            assert u_mult_alt(xinv, x).is_identity()
+            assert u_mult(x, xinv).is_identity() and u_mult(xinv, x).is_identity()
+            fractions += any(not c.den.is_one() for c in x.coords)
+        assert fractions > 2 ** n // 4
+
+
+def non_closed_config():
+    """K0 = span_{K^2}{1, t, u} and L0 = span_{K^2}{1, t}: t*u leaves K0."""
+    return {"p": 2, "vars": ["t", "u"],
+            "indifferent": {"L0": {"basis": ["1", "t"]}, "K0": {"basis": ["1", "t", "u"]}}}
+
+
+def test_c2_datum_checks_closure_once():
+    for name in ("indifferent-weak", "indifferent-proper"):
+        spec = Bundle.load(name).cfg.indifferent
+        datum = c2_datum(spec.ctx, spec.K0, spec.L0)
+        assert [s.domain for s in datum.slots] == [spec.K0, spec.L0, spec.K0, spec.L0]
+    spec = Bundle.load(non_closed_config()).cfg.indifferent
+    with pytest.raises(SpecError, match=r"u in K0 times t in L0 is t\*u, which is not in K0"):
+        c2_datum(spec.ctx, spec.K0, spec.L0)
+    with pytest.raises(SpecError):
+        Bundle.load(non_closed_config()).c2()
+    with pytest.raises(SpecError):
+        c2_datum(spec.ctx, spec.K0, None)
+    # an L0 over a field bigger than K^2 is outside what the check covers
+    proper = Bundle.load("indifferent-proper").cfg.indifferent
+    with pytest.raises(SpecError, match="K\\^2-space"):
+        c2_datum(proper.ctx, proper.K0, proper.K0)
 
 
 def test_center_membership():
