@@ -8,7 +8,7 @@ eliminated once, in ColumnSpace. Rank runs fraction-free Bareiss.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import RatFunc, exact_div, poly_gcd
 
@@ -116,11 +116,9 @@ def rank(rows: List[list]) -> int:
     return _rank_bareiss(mat)
 
 
-def nullspace(rows: List[list], field) -> List[list]:
-    """Basis of the right kernel of the matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def nullspace(rows: List[list], ncols: int, field) -> List[list]:
+    """Basis of the right kernel of a matrix with `ncols` columns; read off
+    the reduced echelon form, it depends only on the kernel."""
     red, pivots = _rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -140,7 +138,8 @@ class ColumnSpace:
     rows R = E * columns^T in reduced echelon form with pivot columns P.
     Then for a vector b of the column length:
       - b lies in the span iff b = sum_i b[P_i] * R_i, which only needs
-        checking off the pivots;
+        checking off the pivots: one linear form per non-pivot coordinate,
+        whose values `residuals` returns;
       - x = E^T * b[P] solves columns @ x = b.
     Both are kept as dot products with polynomial rows (each row of the
     identity scaled by the lcm of its denominators), so a query on a
@@ -175,11 +174,15 @@ class ColumnSpace:
             for k in range(w)
         ]
 
-    def contains(self, b: Sequence) -> bool:
+    def residuals(self, b: Sequence) -> Iterator:
+        """Values at b of linear forms whose common zeros are exactly the span."""
         if self._empty:  # the span of no columns is {0}
-            return not any(b)
+            return iter(b)
         zero = self._field.zero()
-        return all(not _dot(terms, b, zero) for terms in self._checks)
+        return (_dot(terms, b, zero) for terms in self._checks)
+
+    def contains(self, b: Sequence) -> bool:
+        return not any(self.residuals(b))
 
     def solve(self, b: Sequence, den) -> Optional[list]:
         """Coefficients expressing b / den in the columns, or None when outside.

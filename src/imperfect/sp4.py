@@ -427,7 +427,7 @@ def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4,
     if escape is not None:
         # a unipotent coordinate escaped; the torus part cannot fix that
         return escape
-    data_short, data_long = _torus_data(spec)
+    data_short, data_long = spec.torus_data
     pool = [(h.s_alpha, h.s_beta) for h in torus]
     pool += [(a.inverse(), b.inverse()) for a, b in pool]
     for depth in (0, 1, 2):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
@@ -107,31 +108,26 @@ class SubfieldSpec:
 class RSpaceSpec:
     """The span of `basis` over a subfield; 1 must lie in the basis."""
 
-    def __init__(
-        self,
-        name: str,
-        over: SubfieldSpec,
-        basis: Sequence[RatFunc],
-        require_one: bool = True,
-    ):
+    def __init__(self, name: str, over: SubfieldSpec, basis: Sequence[RatFunc]):
         self.name = name
         self.over = over
         self.basis = tuple(basis)
         self.ctx = over.ctx
         if not self.basis:
             raise SpecError("empty basis", name)
-        if require_one and not any(b.is_one() for b in self.basis):
+        if not any(b.is_one() for b in self.basis):
             raise SpecError("basis does not contain 1", name)
         w = over.dim_over_p
         if len(self.basis) * w > self.ctx.p ** self.ctx.n:
             raise SpecError("basis is not linearly independent over the scalar field", name)
-        self._columns = [
+        columns = [
             lambda_ambient(p_monomial(self.ctx, l, over.gens) * b)
             for b in self.basis
             for l in range(w)
         ]
-        # one elimination both validates the basis and answers every query
-        self._space = _linalg.ColumnSpace(self._columns, self.ctx)
+        # one elimination validates the basis, answers every query and gives
+        # the equations that the stabilizer is computed from
+        self._space = _linalg.ColumnSpace(columns, self.ctx)
         if not self._space.ok:
             raise SpecError("basis is not linearly independent over the scalar field", name)
 
@@ -226,43 +222,36 @@ class ValidationReport:
 def _stabilizer_vectors(R: RSpaceSpec) -> List[List[RatFunc]]:
     """K-basis of the ambient-coordinate space of {a in K : a * R <= R}.
 
-    Unknowns are the ambient coordinates of a together with, per basis
-    element b_j, the coordinates of a*b_j in R's membership columns. The
-    kernel of the stacked system, projected to the a-part, is the answer;
-    the projection is injective because R's columns are independent.
+    Write a = sum_r a_r^p x^r over the p-monomials x^r in the variables.
+    Then lambda(a * b) = sum_r a_r * lambda(x^r * b), and a * R <= R iff
+    a * b lies in R for each basis element b, that is iff each of R's
+    membership equations vanishes on that sum. So the unknowns are the p^n
+    coordinates a_r, with one row per basis element and equation.
     """
     ctx = R.ctx
     size = ctx.p ** ctx.n
-    wcols = R._columns
-    w = len(wcols)
-    nbasis = len(R.basis)
-    vars_gens = ctx.gens()
+    xs = ctx.gens()
+    monomials = [p_monomial(ctx, r, xs) for r in range(size)]
     rows: List[List[RatFunc]] = []
-    zero = ctx.zero()
-    for j, b in enumerate(R.basis):
-        acols = [lambda_ambient(p_monomial(ctx, r, vars_gens) * b) for r in range(size)]
-        for i in range(size):
-            row = [acols[r][i] for r in range(size)]
-            pad = [zero] * (nbasis * w)
-            for l in range(w):
-                pad[j * w + l] = -wcols[l][i]
-            rows.append(row + pad)
-    kernel = _linalg.nullspace(rows, ctx)
-    return [v[:size] for v in kernel]
+    for b in R.basis:
+        values = [list(R._space.residuals(lambda_ambient(m * b))) for m in monomials]
+        rows += [list(row) for row in zip(*values)]
+    return _linalg.nullspace(rows, size, ctx)
 
 
 def _greedy_gens(candidates: Sequence[RatFunc], ctx: Context) -> List[RatFunc]:
-    """A p-basis of K^p[candidates]: each candidate in turn that lies outside
-    the field generated by the ones kept before it."""
+    """A p-basis of K^p[candidates]: each candidate in turn that is
+    p-independent over the ones kept before it."""
     gens: List[RatFunc] = []
     for a in candidates:
-        if not SubfieldSpec("_probe", gens, ctx).contains(a):
+        if is_p_independent([a], over_gens=gens, ctx=ctx):
             gens.append(a)
     return gens
 
 
 def stabilizer_field(R: RSpaceSpec, name: Optional[str] = None) -> SubfieldSpec:
-    """Generators for the multiplicative stabilizer {a : a*R <= R}, always a field."""
+    """Generators for the multiplicative stabilizer {a : a*R <= R}, always a field;
+    they depend only on the stabilizer, not on the order of R's basis."""
     ctx = R.ctx
     vecs = _stabilizer_vectors(R)
     elements = []
@@ -357,18 +346,13 @@ def validate_tower(
                 "" if not bad else "escaped: " + ", ".join(render_element(x) for x in bad),
             )
 
-        # condition (1): the stabilizer of R_i is exactly K_i
-        vecs = _stabilizer_vectors(R)
-        dim_d = len(vecs)
+        # condition (1): the stabilizer of R_i, a field, is exactly K_i
+        stab = stabilizer_field(R)
         want = F.dim_over_p
-        stab = _linalg.ColumnSpace(vecs, ctx)
-        contained = dim_d > 0 and all(
-            stab.contains(lambda_numerators(p_monomial(ctx, l, F.gens))) for l in range(want)
-        )
         report.add(
             f"{tag}.stabilizer",
-            dim_d == want and contained,
-            f"stabilizer dimension {dim_d} over K, scalar field dimension {want}",
+            stab.dim_over_p == want and all(stab.contains(g) for g in F.gens),
+            f"stabilizer dimension {stab.dim_over_p} over K, scalar field dimension {want}",
         )
 
         # condition (2), exact part: basis minus 1 is p-independent over K_i
@@ -472,6 +456,13 @@ class IndifferentSpec:
         self.E0 = SubfieldSpec("E0", K0_field_gens, ctx)
         self.K0 = RSpaceSpec("K0", self.E0, K0_basis)
         self.weak = weak
+
+    @cached_property
+    def torus_data(self):
+        """The rank-1 data deciding PSp4 torus coordinates, built on first use."""
+        from .sp4 import _torus_data  # sp4 builds on this module
+
+        return _torus_data(self)
 
 
 def _subset_products(xs: Sequence[RatFunc], ctx: Context) -> List[RatFunc]:

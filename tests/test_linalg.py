@@ -99,6 +99,36 @@ def test_column_space_matches_fresh_elimination(p, n):
 
 
 @pytest.mark.parametrize("p,n", CASES)
+def test_residuals_cut_out_the_span(p, n):
+    """The kernel of the residual forms, as computed by nullspace, is the span."""
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(500 * p + n)
+    size = p ** n
+    checked = 0
+    for trial in range(4):
+        # for p^n <= 3 the last trial spans everything: there are no forms
+        w = size if trial == 3 and size <= 3 else rng.randint(1, min(3, size - 1))
+        columns = [rand_vector(rng, ctx) for _ in range(w)]
+        space = ColumnSpace(columns, ctx)
+        if not space.ok:
+            continue
+        units = [[ctx.one() if k == j else ctx.zero() for k in range(size)] for j in range(size)]
+        forms = [list(row) for row in zip(*[list(space.residuals(e)) for e in units])]
+        assert len(forms) == size - w
+        kernel = _linalg.nullspace(forms, size, ctx)
+        assert _linalg._rref(kernel)[0] == _linalg._rref(columns)[0]
+        member = combine(columns, rand_coeffs(rng, ctx, w), ctx)
+        assert not any(space.residuals(member))
+        checked += 1
+    assert checked >= 3
+
+
+def test_nullspace_without_rows_is_everything():
+    ctx = Context(2, ("t",))
+    assert _linalg.nullspace([], 2, ctx) == [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]
+
+
+@pytest.mark.parametrize("p,n", CASES)
 def test_rank_with_denominators_matches_rref(p, n):
     """rank clears row denominators and runs Bareiss; _rref reduces fractions."""
     ctx = Context(p, NAMES[:n])
@@ -145,6 +175,7 @@ def test_column_space_without_columns_is_zero():
     assert space.ok
     assert space.solve([ctx.zero(), ctx.zero()], ctx.const_poly(1)) == []
     assert not space.contains([ctx.zero(), ctx.one()])
+    assert list(space.residuals([ctx.zero(), ctx.one()])) == [ctx.zero(), ctx.one()]
 
 
 def tower_gens(rng, ctx, k):

@@ -569,6 +569,28 @@ def test_membership_matches_the_two_old_procedures():
     assert by_uv.membership(torus_matrix(u, v)).verdict == "no"
 
 
+def test_torus_data_is_built_once_per_spec(monkeypatch):
+    import imperfect.sp4 as sp4
+
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return _torus_data(spec)
+
+    monkeypatch.setattr(sp4, "_torus_data", counting)
+    group = Bundle.load("indifferent-proper").sp4()
+    h = group.torus_matrices()[0]
+    rng = random.Random(3)
+    for _ in range(3):
+        assert group.membership(rand_word_matrix(group.spec, rng, length=3) * h).verdict == "yes"
+    assert built == [group.spec]
+    assert group.spec.torus_data is group.spec.torus_data
+    other = Bundle.load("indifferent-proper").sp4()
+    other.membership(h)
+    assert built == [group.spec, other.spec]  # kept on each spec, not shared
+
+
 def test_perfectness_witness_all_slots():
     spec = proper_spec()
     ctx = spec.ctx

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from imperfect.field import Context, frobenius, parse_element
-from imperfect.pbasis import is_p_independent
+from imperfect import _linalg
+from imperfect.field import Context, frobenius, parse_element, render_element
+from imperfect.pbasis import is_p_independent, lambda_ambient, p_monomial
 from imperfect.presets import Bundle, preset, preset_names
 from imperfect.tower import (
     Config,
@@ -13,6 +15,7 @@ from imperfect.tower import (
     SubfieldSpec,
     TowerSpec,
     derive_fields,
+    _stabilizer_vectors,
     stabilizer_field,
     validate_indifferent,
     validate_tower,
@@ -103,6 +106,150 @@ def test_stabilizer_field_over_k1():
     assert D.dim_over_p == K1.dim_over_p
     assert D.contains(t)
     assert not D.contains(u)
+
+
+# the stabilizer system as it was first written, kept as the oracle for the
+# one built from R's own membership equations
+
+
+def stacked_stabilizer_vectors(R):
+    """Unknowns are the ambient coordinates of a together with, per basis
+    element b_j, the coordinates of a*b_j in R's membership columns. The
+    kernel of the stacked system, projected to the a-part, is the answer;
+    the projection is injective because R's columns are independent."""
+    ctx = R.ctx
+    size = ctx.p ** ctx.n
+    wcols = [
+        lambda_ambient(p_monomial(ctx, l, R.over.gens) * b)
+        for b in R.basis
+        for l in range(R.over.dim_over_p)
+    ]
+    w = len(wcols)
+    nbasis = len(R.basis)
+    vars_gens = ctx.gens()
+    rows = []
+    zero = ctx.zero()
+    for j, b in enumerate(R.basis):
+        acols = [lambda_ambient(p_monomial(ctx, r, vars_gens) * b) for r in range(size)]
+        for i in range(size):
+            row = [acols[r][i] for r in range(size)]
+            pad = [zero] * (nbasis * w)
+            for l in range(w):
+                pad[j * w + l] = -wcols[l][i]
+            rows.append(row + pad)
+    kernel = _linalg.nullspace(rows, size + nbasis * w, ctx)
+    return [v[:size] for v in kernel]
+
+
+def rand_rspace(rng, ctx, denominators=False):
+    """A random R-space over a random subfield F, often a module over a
+    field between F and K, with at most four basis elements."""
+    while True:
+        pool = [ctx.rand_ratfunc(rng, 2, 2, nonzero=True, denominators=denominators)
+                for _ in range(3)]
+        pool += list(ctx.gens())
+        rng.shuffle(pool)
+        gens = []
+        for a in pool:
+            if len(gens) < ctx.n and is_p_independent([a], over_gens=gens, ctx=ctx):
+                gens.append(a)
+        k = rng.randint(0, len(gens))
+        F = SubfieldSpec("F", gens[:rng.randint(0, k)], ctx)
+        extra = gens[len(F.gens):k]  # the span is a module over F[extra]
+        monomials = [p_monomial(ctx, l, extra) for l in range(ctx.p ** len(extra))]
+        cs = [ctx.one()] + [ctx.rand_ratfunc(rng, 2, 2, nonzero=True, denominators=denominators)
+                            for _ in range(rng.randint(1, 2))]
+        basis = [m * c for c in cs for m in monomials]
+        if len(basis) > 4:
+            continue
+        try:
+            return RSpaceSpec("R", F, basis)
+        except SpecError:
+            continue
+
+
+SHAPES = [(2, ("t", "u")), (2, ("t", "u", "v")), (3, ("s", "v")), (5, ("t", "u"))]
+
+
+def _span(vecs):
+    return _linalg._rref(vecs)[0]
+
+
+def _preset_rspaces():
+    for name in preset_names():
+        cfg = Config.load(preset(name))
+        yield from cfg.rspaces.values()
+        if cfg.indifferent is not None:
+            yield cfg.indifferent.L0
+            yield cfg.indifferent.K0
+
+
+def _whole_field_rspaces():
+    """R-spaces that span all of K, so that R has no membership equations."""
+    t, u = CTX2.gens()
+    ctx3 = Context(3, ("s", "v"))
+    s_, v = ctx3.gens()
+    ctx5 = Context(5, ("t",))
+    (x,) = ctx5.gens()
+    return [
+        RSpaceSpec("all2", kp(CTX2), [CTX2.one(), t, u, t * u]),
+        RSpaceSpec("all3", SubfieldSpec("K1", (s_,), ctx3), [ctx3.one(), v, v * v / (s_ + v)]),
+        RSpaceSpec("all5", kp(ctx5), [ctx5.one()] + [x ** e for e in range(1, 5)]),
+    ]
+
+
+def test_stabilizer_vectors_match_the_stacked_system():
+    rng = random.Random(11)
+    spaces = list(_preset_rspaces()) + _whole_field_rspaces()
+    for trial in range(16):
+        p, names = SHAPES[trial % len(SHAPES)]
+        spaces.append(rand_rspace(rng, Context(p, names), denominators=trial % 3 == 1))
+    assert {R.ctx.p for R in spaces} == {2, 3, 5}
+    assert any(not b.den.is_one() for R in spaces for b in R.basis)
+    for R in spaces:
+        got = _stabilizer_vectors(R)
+        assert _span(got) == _span(stacked_stabilizer_vectors(R)), R
+    for R in _whole_field_rspaces():
+        assert len(_stabilizer_vectors(R)) == R.ctx.p ** R.ctx.n
+
+
+def test_stabilizer_generators_do_not_depend_on_the_basis_order():
+    t, u = CTX2.gens()
+    # the stacked system gave (t, t*u) or (t, t^2*u) depending on the order
+    R = RSpaceSpec("R", SubfieldSpec("K1", (t,), CTX2), [CTX2.one(), t * t * u])
+    spaces = [R]
+    rng = random.Random(4)
+    for trial in range(12):
+        p, names = SHAPES[trial % len(SHAPES)]
+        spaces.append(rand_rspace(rng, Context(p, names), denominators=trial % 2 == 1))
+    for R in spaces:
+        seen = set()
+        for basis in itertools.permutations(R.basis):
+            D = stabilizer_field(RSpaceSpec("R", R.over, basis))
+            seen.add(tuple(render_element(g) for g in D.gens))
+        assert len(seen) == 1, (R, seen)
+
+
+def test_stable_under_matches_the_stabilizer_field():
+    rng = random.Random(8)
+    spaces = list(_preset_rspaces()) + _whole_field_rspaces()
+    for trial in range(12):
+        p, names = SHAPES[trial % len(SHAPES)]
+        spaces.append(rand_rspace(rng, Context(p, names), denominators=trial % 2 == 1))
+    seen = set()
+    for R in spaces:
+        ctx = R.ctx
+        D = stabilizer_field(R)
+        fs = list(ctx.gens()) + [x * y for x in ctx.gens() for y in ctx.gens()]
+        fs += list(D.gens) + [g + ctx.one() for g in D.gens]
+        fs += [R.rand_element(rng, nonzero=True) for _ in range(3)]
+        fs += [D.rand_element(rng, nonzero=True) for _ in range(3)]
+        fs += [ctx.rand_ratfunc(rng, nonzero=True) for _ in range(3)]
+        for f in fs:
+            got = R.stable_under(f)
+            assert got == D.contains(f), (R, f)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_validate_tower_positive_presets():
