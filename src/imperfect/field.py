@@ -6,8 +6,14 @@ Everything is immutable and exact; there is no floating point anywhere.
 Conventions fixed here and relied on by the rest of the package:
 
 * coefficients are ints in [0, p); zero coefficients are never stored;
-* monomials are compared in graded-lex order with x1 < x2 < x3
-  (total degree first, then the exponent of the largest variable);
+* a monomial is one int, its key: the total degree in the top field, then
+  the exponents of x3, x2, x1 in 16-bit fields below it, the top bit of
+  each field a guard bit that stays clear (Bachmann & Schoenemann 1998).
+  The key of a product is the sum of the keys, and integer order on keys
+  is graded-lex order with x1 < x2 < x3 (total degree first, then the
+  exponent of the largest variable);
+* a monomial's total degree stays below EXP_LIMIT = 2^15; an operation
+  whose result would reach it raises FieldError instead of wrapping;
 * fractions are reduced and the denominator's leading coefficient is 1.
 """
 
@@ -33,15 +39,24 @@ class ParseError(ImperfectError, ValueError):
         self.pos = pos
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    # graded-lex with the last variable most significant on ties
-    return (sum(exps), tuple(reversed(exps)))
+_FIELD_BITS = 16
+_FIELD = (1 << _FIELD_BITS) - 1
+_SHIFTS = (0, _FIELD_BITS, 2 * _FIELD_BITS)  # x1, x2, x3
+_DEG_SHIFT = 3 * _FIELD_BITS
+# a monomial's total degree, and so each of its exponents, stays below this
+EXP_LIMIT = 1 << (_FIELD_BITS - 1)
+# the smallest key of total degree EXP_LIMIT
+_TOP = EXP_LIMIT << _DEG_SHIFT
+# the guard bit of every field; a key difference that borrows sets one
+_GUARD = sum(EXP_LIMIT << s for s in _SHIFTS + (_DEG_SHIFT,))
+# the key of x_k
+_VAR = tuple((1 << s) | (1 << _DEG_SHIFT) for s in _SHIFTS)
 
 
 class Context:
     """Fixes the prime p and the variable names of one ambient field K."""
 
-    __slots__ = ("p", "names", "n", "_zero", "_one")
+    __slots__ = ("p", "names", "n", "_zero", "_one", "_gens")
 
     def __init__(self, p: int, names: Sequence[str]):
         if p not in (2, 3, 5):
@@ -59,10 +74,25 @@ class Context:
         self.n = len(names)
         self._zero = None
         self._one = None
+        self._gens = None
+
+    # -- monomial keys -----------------------------------------------------
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of x^exps; the exponents must be >= 0 with sum below EXP_LIMIT."""
+        key = sum(exps) << _DEG_SHIFT
+        for e, s in zip(exps, _SHIFTS):
+            key |= e << s
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of a monomial key."""
+        return tuple([(key >> s) & _FIELD for s in _SHIFTS[: self.n]])
 
     # -- constructors ------------------------------------------------------
 
     def poly(self, terms: dict) -> "SparsePoly":
+        """The polynomial with the given {exponent tuple: coefficient} terms."""
         clean = {}
         for exps, c in terms.items():
             c %= self.p
@@ -70,14 +100,16 @@ class Context:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.n or any(e < 0 for e in exps):
                     raise FieldError(f"bad exponent vector {exps}")
-                clean[exps] = c
+                if sum(exps) >= EXP_LIMIT:
+                    raise FieldError(f"total degree {sum(exps)} reaches the limit {EXP_LIMIT}")
+                clean[self.pack(exps)] = c
         return SparsePoly(self, clean)
 
     def const_poly(self, c: int) -> "SparsePoly":
         c %= self.p
         if c == 0:
             return SparsePoly(self, {})
-        return SparsePoly(self, {(0,) * self.n: c})
+        return SparsePoly(self, {0: c})
 
     def zero(self) -> "RatFunc":
         if self._zero is None:
@@ -95,11 +127,13 @@ class Context:
     def var(self, name: str) -> "RatFunc":
         if name not in self.names:
             raise FieldError(f"unknown variable {name!r}")
-        exps = tuple(1 if nm == name else 0 for nm in self.names)
-        return RatFunc(self, self.poly({exps: 1}), self.const_poly(1))
+        key = _VAR[self.names.index(name)]
+        return RatFunc(self, SparsePoly(self, {key: 1}), self.const_poly(1), reduce=False)
 
     def gens(self) -> tuple:
-        return tuple(self.var(nm) for nm in self.names)
+        if self._gens is None:
+            self._gens = tuple(self.var(nm) for nm in self.names)
+        return self._gens
 
     def __repr__(self):
         return f"Context(F_{self.p}({', '.join(self.names)}))"
@@ -148,7 +182,7 @@ class Context:
 
 
 class SparsePoly:
-    """A sparse polynomial over F_p; terms maps exponent vectors to coefficients."""
+    """A sparse polynomial over F_p; terms maps monomial keys to coefficients."""
 
     __slots__ = ("ctx", "terms")
 
@@ -160,24 +194,29 @@ class SparsePoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ctx.n: 1}
+        return self.terms == {0: 1}
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms, default=0) >> _DEG_SHIFT
 
     def degree_in(self, k: int) -> int:
-        return max((e[k] for e in self.terms), default=0)
+        s = _SHIFTS[k]
+        return max(((e >> s) & _FIELD for e in self.terms), default=0)
 
     def leading(self) -> tuple:
-        """(exponents, coefficient) of the graded-lex leading term."""
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        """(key, coefficient) of the graded-lex leading term."""
+        key = max(self.terms)
+        return key, self.terms[key]
+
+    def by_exponents(self) -> dict:
+        """The terms keyed by exponent tuples, as Context.poly takes them."""
+        return {self.ctx.unpack(e): c for e, c in self.terms.items()}
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         p = self.ctx.p
@@ -203,10 +242,12 @@ class SparsePoly:
         p = self.ctx.p
         if not self.terms or not other.terms:
             return SparsePoly(self.ctx, {})
+        if max(self.terms) + max(other.terms) >= _TOP:
+            raise FieldError(f"a product reaches the exponent limit {EXP_LIMIT}")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
                 s = (out.get(e, 0) + c1 * c2) % p
                 if s:
                     out[e] = s
@@ -223,14 +264,6 @@ class SparsePoly:
             return self
         return SparsePoly(self.ctx, {e: (k * c) % p for e, k in self.terms.items()})
 
-    def shift(self, exps: tuple) -> "SparsePoly":
-        """Multiply by the monomial with the given exponent vector."""
-        if not any(exps):
-            return self
-        return SparsePoly(
-            self.ctx, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
-        )
-
     def __eq__(self, other):
         return isinstance(other, SparsePoly) and self.terms == other.terms and self.ctx == other.ctx
 
@@ -246,45 +279,39 @@ class SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_gcd(f: SparsePoly) -> tuple:
-    """Componentwise min of all exponent vectors of f (f nonzero)."""
-    it = iter(f.terms)
-    acc = list(next(it))
-    for e in it:
-        for i, v in enumerate(e):
-            if v < acc[i]:
-                acc[i] = v
-    return tuple(acc)
+def _monomial_gcd(f: SparsePoly, g: SparsePoly) -> int:
+    """Key of the componentwise min of all exponent vectors of f and g (both nonzero)."""
+    ctx = f.ctx
+    return ctx.pack([min(v) for v in zip(*map(ctx.unpack, [*f.terms, *g.terms]))])
 
 
-def _main_var(f: SparsePoly, g: SparsePoly) -> Optional[int]:
-    """Highest variable index occurring in f or g, or None for constants."""
-    best = None
-    for poly in (f, g):
-        for e in poly.terms:
-            for i in range(len(e) - 1, -1, -1):
-                if e[i] > 0 and (best is None or i > best):
-                    best = i
-                    break
-    return best
+def _variables(f: SparsePoly, g: SparsePoly) -> list:
+    """Indices of the variables occurring in f or g, ascending."""
+    acc = 0
+    for e in f.terms:
+        acc |= e
+    for e in g.terms:
+        acc |= e
+    return [k for k, s in enumerate(_SHIFTS) if (acc >> s) & _FIELD]
 
 
 def _coeffs_in(f: SparsePoly, k: int) -> dict:
     """View f as a polynomial in x_k: maps x_k-degree to a SparsePoly coefficient."""
+    s, unit = _SHIFTS[k], _VAR[k]
     out: dict = {}
     for e, c in f.terms.items():
-        d = e[k]
-        rest = e[:k] + (0,) + e[k + 1 :]
+        d = (e >> s) & _FIELD
         bucket = out.setdefault(d, {})
-        bucket[rest] = c  # exponent vectors are distinct after splitting off x_k
+        bucket[e - d * unit] = c  # monomials are distinct after splitting off x_k
     return {d: SparsePoly(f.ctx, t) for d, t in out.items()}
 
 
 def _from_coeffs(ctx: Context, coeffs: dict, k: int) -> SparsePoly:
+    unit = _VAR[k]
     out = {}
     for d, poly in coeffs.items():
         for e, c in poly.terms.items():
-            out[e[:k] + (d,) + e[k + 1 :]] = c
+            out[e + d * unit] = c
     return SparsePoly(ctx, out)
 
 
@@ -299,27 +326,34 @@ def exact_div(f: SparsePoly, d: SparsePoly) -> SparsePoly:
     if d.is_one():
         return f
     if d.is_monomial():
-        (de, dc) = next(iter(d.terms.items()))
+        (de, dc), = d.terms.items()
         inv = pow(dc, p - 2, p)
         out = {}
         for e, c in f.terms.items():
-            q = tuple(a - b for a, b in zip(e, de))
-            if any(v < 0 for v in q):
+            q = e - de
+            if q & _GUARD:
                 raise FieldError("inexact monomial division")
             out[q] = (c * inv) % p
         return SparsePoly(ctx, out)
-    d_exps, d_c = d.leading()
+    d_lead, d_c = d.leading()
     d_inv = pow(d_c, p - 2, p)
     quo = {}
-    rem = f
-    while not rem.is_zero():
-        r_exps, r_c = rem.leading()
-        q = tuple(a - b for a, b in zip(r_exps, d_exps))
-        if any(v < 0 for v in q):
+    rem = dict(f.terms)
+    while rem:
+        r_lead = max(rem)
+        q = r_lead - d_lead
+        if q & _GUARD:
             raise FieldError("inexact polynomial division")
-        qc = (r_c * d_inv) % p
+        qc = (rem[r_lead] * d_inv) % p
         quo[q] = qc
-        rem = rem - d.shift(q).scale(qc)
+        # rem -= qc * x^q * d; the leading term cancels
+        for e, c in d.terms.items():
+            e += q
+            s = (rem.get(e, 0) - qc * c) % p
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
     return SparsePoly(ctx, quo)
 
 
@@ -327,12 +361,12 @@ def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
     """Euclid in F_p[x_k] for polynomials involving only x_k."""
     ctx = f.ctx
     p = ctx.p
+    s = _SHIFTS[k]
 
     def to_list(poly: SparsePoly) -> list:
-        d = poly.degree_in(k)
-        out = [0] * (d + 1)
+        out = [0] * (poly.degree_in(k) + 1)
         for e, c in poly.terms.items():
-            out[e[k]] = c
+            out[(e >> s) & _FIELD] = c
         return out
 
     def trim(a: list) -> list:
@@ -353,18 +387,8 @@ def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
                 break
         a, b = b, a
     inv = pow(a[-1], p - 2, p)
-    exps_base = [0] * ctx.n
-    terms = {}
-    for i, c in enumerate(a):
-        if c:
-            e = list(exps_base)
-            e[k] = i
-            terms[tuple(e)] = (c * inv) % p
-    return SparsePoly(ctx, terms)
-
-
-def _uses_only(f: SparsePoly, k: int) -> bool:
-    return all(all(v == 0 for i, v in enumerate(e) if i != k) for e in f.terms)
+    unit = _VAR[k]
+    return SparsePoly(ctx, {i * unit: (c * inv) % p for i, c in enumerate(a) if c})
 
 
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -379,15 +403,10 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.is_constant() or g.is_constant():
         return ctx.const_poly(1)
     if f.is_monomial() or g.is_monomial():
-        mono = _monomial_gcd(f) if f.is_monomial() else _monomial_gcd(g)
-        other = g if f.is_monomial() else f
-        om = _monomial_gcd(other)
-        e = tuple(min(a, b) for a, b in zip(mono, om))
-        return SparsePoly(ctx, {e: 1})
-    k = _main_var(f, g)
-    if k is None:
-        return ctx.const_poly(1)
-    if _uses_only(f, k) and _uses_only(g, k):
+        return SparsePoly(ctx, {_monomial_gcd(f, g): 1})
+    used = _variables(f, g)
+    k = used[-1]  # the main variable: the highest index occurring
+    if len(used) == 1:
         return _gcd_univ(f, g, k)
     fc = _coeffs_in(f, k)
     gc = _coeffs_in(g, k)
@@ -507,7 +526,7 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "RatFunc"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise FieldError("mixed field contexts")
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -579,12 +598,13 @@ class RatFunc:
         base = self if k > 0 else self.inverse()
         k = abs(k)
         out = self.ctx.one()
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     # -- equality ----------------------------------------------------------
 
@@ -610,7 +630,9 @@ def frobenius(a: RatFunc) -> RatFunc:
     p = a.ctx.p
 
     def fr(poly: SparsePoly) -> SparsePoly:
-        return SparsePoly(a.ctx, {tuple(e * p for e in exps): c for exps, c in poly.terms.items()})
+        if max(poly.terms, default=0) * p >= _TOP:
+            raise FieldError(f"a p-th power reaches the exponent limit {EXP_LIMIT}")
+        return SparsePoly(a.ctx, {e * p: c for e, c in poly.terms.items()})
 
     return RatFunc(a.ctx, fr(a.num), fr(a.den), reduce=False)
 
@@ -621,15 +643,16 @@ def pth_root(a: RatFunc) -> Optional[RatFunc]:
     In reduced form a is a p-th power iff numerator and denominator separately
     have all exponents divisible by p (F_p coefficients are their own roots).
     """
-    p = a.ctx.p
+    ctx = a.ctx
+    p = ctx.p
 
     def root(poly: SparsePoly) -> Optional[SparsePoly]:
         out = {}
-        for exps, c in poly.terms.items():
-            if any(e % p for e in exps):
+        for e, c in poly.terms.items():
+            if any(v % p for v in ctx.unpack(e)):
                 return None
-            out[tuple(e // p for e in exps)] = c
-        return SparsePoly(a.ctx, out)
+            out[e // p] = c  # every field of e is a multiple of p
+        return SparsePoly(ctx, out)
 
     num = root(a.num)
     if num is None:
@@ -637,7 +660,7 @@ def pth_root(a: RatFunc) -> Optional[RatFunc]:
     den = root(a.den)
     if den is None:
         return None
-    return RatFunc(a.ctx, num, den, reduce=False)
+    return RatFunc(ctx, num, den, reduce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +671,12 @@ def pth_root(a: RatFunc) -> Optional[RatFunc]:
 def render_poly(poly: SparsePoly) -> str:
     if poly.is_zero():
         return "0"
-    names = poly.ctx.names
+    ctx = poly.ctx
     parts = []
-    for exps in sorted(poly.terms, key=_grlex_key, reverse=True):
-        c = poly.terms[exps]
+    for key in sorted(poly.terms, reverse=True):
+        c = poly.terms[key]
         factors = []
-        for nm, e in zip(names, exps):
+        for nm, e in zip(ctx.names, ctx.unpack(key)):
             if e == 1:
                 factors.append(nm)
             elif e > 1:

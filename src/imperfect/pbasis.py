@@ -82,10 +82,10 @@ def lambda_numerators(b: RatFunc) -> List[RatFunc]:
     for _ in range(p - 1):
         N = N * b.den
     buckets = {}
-    for exps, c in N.terms.items():
-        residue = tuple(e % p for e in exps)
-        quotient = tuple(e // p for e in exps)
-        buckets.setdefault(residue, {})[quotient] = c
+    for e, c in N.terms.items():
+        residue = tuple([v % p for v in ctx.unpack(e)])
+        # every exponent of N / x^residue is a multiple of p
+        buckets.setdefault(residue, {})[(e - ctx.pack(residue)) // p] = c
     one = ctx.const_poly(1)
     return [
         RatFunc(ctx, SparsePoly(ctx, buckets.get(monomial_exponents(p, ctx.n, i), {})), one,
@@ -108,13 +108,15 @@ def lambda_ambient(b: RatFunc) -> List[RatFunc]:
 
 def _partial(f: SparsePoly, k: int) -> SparsePoly:
     """The formal derivative of f in the k-th variable."""
-    p = f.ctx.p
+    ctx = f.ctx
+    p = ctx.p
+    unit = ctx.pack([int(i == k) for i in range(ctx.n)])
     out = {}
     for e, c in f.terms.items():
-        d = c * e[k] % p
+        d = c * ctx.unpack(e)[k] % p
         if d:
-            out[e[:k] + (e[k] - 1,) + e[k + 1:]] = d
-    return SparsePoly(f.ctx, out)
+            out[e - unit] = d
+    return SparsePoly(ctx, out)
 
 
 def differential(b: RatFunc) -> List[RatFunc]:

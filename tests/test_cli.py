@@ -53,6 +53,16 @@ def test_field_eval_huge_power_is_a_parse_error(capsys):
     assert "Traceback" not in err
 
 
+def test_field_eval_past_the_exponent_limit_is_exit_one(capsys):
+    below = "*".join(["t^256"] * 127 + ["t^255"])
+    code, out, _ = run(capsys, "field", "eval", below)
+    assert code == 0 and out.strip() == "t^32767"
+    code, out, err = run(capsys, "field", "eval", below + "*u")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a product reaches the exponent limit 32768\n"
+
+
 def test_field_eval_too_many_digits_is_a_parse_error(capsys):
     code, out, err = run(capsys, "field", "eval", "t^" + "9" * 5000)
     assert code == 2

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imperfect.field import (
+    EXP_LIMIT,
     MAX_POWER_DEGREE,
     Context,
     FieldError,
     ParseError,
     RatFunc,
+    exact_div,
     frobenius,
     parse_element,
     poly_gcd,
@@ -60,6 +62,29 @@ def test_mixed_context_arithmetic_rejected():
     s = CTX3.var("s")
     with pytest.raises(FieldError):
         t + s
+
+
+def test_equal_contexts_mix_and_unequal_ones_do_not():
+    a, b = Context(2, ("t", "u")), Context(2, ("t", "u"))
+    assert a is not b and a == b
+    x, y = a.var("t"), b.var("u")
+    assert x + y == a.parse("t+u") and x - y == b.parse("t+u")
+    assert x * y == a.parse("t*u") and x / y == b.parse("t/u")
+    for other in (Context(3, ("t", "u")), Context(2, ("t", "v")), Context(2, ("t",))):
+        z = other.var("t")
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                   lambda x, y: x / y):
+            with pytest.raises(FieldError, match="mixed field contexts"):
+                op(x, z)
+            with pytest.raises(FieldError, match="mixed field contexts"):
+                op(z, x)
+
+
+def test_gens_are_built_once_per_context():
+    ctx = Context(3, ("a", "b", "c"))
+    assert ctx.gens() is ctx.gens()
+    assert [render_element(g) for g in ctx.gens()] == ["a", "b", "c"]
+    assert Context(3, ("a", "b", "c")).gens() == ctx.gens()
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,7 +385,7 @@ def test_poly_gcd_against_sympy(ctx):
     gens = sympy.symbols(ctx.names)
 
     def to_sympy(f):
-        return sympy.Poly.from_dict(dict(f.terms) or {(0,) * ctx.n: 0}, *gens, modulus=ctx.p)
+        return sympy.Poly.from_dict(f.by_exponents() or {(0,) * ctx.n: 0}, *gens, modulus=ctx.p)
 
     rng = random.Random(300 + ctx.p * 10 + ctx.n)
     for _ in range(15):
@@ -371,3 +396,298 @@ def test_poly_gcd_against_sympy(ctx):
         assert got.leading()[1] == 1 or got.is_zero()
         want = sympy.gcd(to_sympy(f), to_sympy(g))
         assert to_sympy(got).monic() == want.monic(), (f, g)
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys against the tuple-keyed kernel they replaced
+# ---------------------------------------------------------------------------
+
+# The oracle below is the tuple-keyed kernel: polynomials are dicts from
+# exponent tuples to coefficients in [0, p), ordered by _grlex_key.
+
+
+def _grlex_key(exps):
+    # graded-lex with the last variable most significant on ties
+    return (sum(exps), tuple(reversed(exps)))
+
+
+def t_add(p, f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = (out.get(e, 0) + c) % p
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def t_scale(p, f, c):
+    return {e: k * c % p for e, k in f.items() if k * c % p}
+
+
+def t_mul(p, f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = (out.get(e, 0) + c1 * c2) % p
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def t_leading(f):
+    exps = max(f, key=_grlex_key)
+    return exps, f[exps]
+
+
+def t_monic(p, f):
+    return t_scale(p, f, pow(t_leading(f)[1], p - 2, p)) if f else f
+
+
+def t_exact_div(p, f, d):
+    if not f:
+        return f
+    if len(d) == 1:
+        ((de, dc),) = d.items()
+        inv = pow(dc, p - 2, p)
+        out = {}
+        for e, c in f.items():
+            q = tuple(a - b for a, b in zip(e, de))
+            if any(v < 0 for v in q):
+                raise FieldError("inexact monomial division")
+            out[q] = c * inv % p
+        return out
+    d_exps, d_c = t_leading(d)
+    d_inv = pow(d_c, p - 2, p)
+    quo, rem = {}, f
+    while rem:
+        r_exps, r_c = t_leading(rem)
+        q = tuple(a - b for a, b in zip(r_exps, d_exps))
+        if any(v < 0 for v in q):
+            raise FieldError("inexact polynomial division")
+        qc = r_c * d_inv % p
+        quo[q] = qc
+        rem = t_add(p, rem, t_scale(p, t_mul(p, d, {q: 1}), -qc))
+    return quo
+
+
+def t_coeffs_in(f, k):
+    out = {}
+    for e, c in f.items():
+        out.setdefault(e[k], {})[e[:k] + (0,) + e[k + 1:]] = c
+    return out
+
+
+def t_gcd_univ(p, n, f, g, k):
+    def to_list(poly):
+        out = [0] * (max(e[k] for e in poly) + 1)
+        for e, c in poly.items():
+            out[e[k]] = c
+        return out
+
+    def trim(a):
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a, b = trim(to_list(f)), trim(to_list(g))
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            for i, bc in enumerate(b):
+                a[i + len(a) - len(b)] = (a[i + len(a) - len(b)] - c * bc) % p
+            trim(a)
+            if not a:
+                break
+        a, b = b, a
+    inv = pow(a[-1], p - 2, p)
+    return {tuple(i if j == k else 0 for j in range(n)): c * inv % p
+            for i, c in enumerate(a) if c}
+
+
+def t_content(p, n, coeffs):
+    it = iter(coeffs.values())
+    acc = next(it)
+    for c in it:
+        acc = t_gcd(p, n, acc, c)
+        if all(not any(e) for e in acc):
+            break
+    return t_monic(p, acc)
+
+
+def t_pseudo_rem(p, fc, gc):
+    fd = dict(fc)
+    dg = max(gc)
+    lg = gc[dg]
+    while fd and max(fd) >= dg:
+        df = max(fd)
+        lf = fd[df]
+        new = {d: t_mul(p, c, lg) for d, c in fd.items()}
+        for d, c in gc.items():
+            nd = d + df - dg
+            new[nd] = t_add(p, new.get(nd, {}), t_scale(p, t_mul(p, c, lf), -1))
+        fd = {d: c for d, c in new.items() if c}
+    return fd
+
+
+def t_gcd(p, n, f, g):
+    if not f or not g:
+        return t_monic(p, f or g)
+    if all(not any(e) for e in f) or all(not any(e) for e in g):
+        return {(0,) * n: 1}
+    if len(f) == 1 or len(g) == 1:
+        return {tuple(min(v) for v in zip(*f, *g)): 1}
+    used = [k for k in range(n) if any(e[k] for e in (*f, *g))]
+    k = used[-1]
+    if len(used) == 1:
+        return t_gcd_univ(p, n, f, g, k)
+    fc, gc = t_coeffs_in(f, k), t_coeffs_in(g, k)
+    cf, cg = t_content(p, n, fc), t_content(p, n, gc)
+    pf = {d: t_exact_div(p, c, cf) for d, c in fc.items()}
+    pg = {d: t_exact_div(p, c, cg) for d, c in gc.items()}
+    while pg:
+        r = t_pseudo_rem(p, pf, pg)
+        if r:
+            rc = t_content(p, n, r)
+            r = {d: t_exact_div(p, c, rc) for d, c in r.items()}
+        pf, pg = pg, r
+    prim = {e[:k] + (d,) + e[k + 1:]: c for d, poly in pf.items() for e, c in poly.items()}
+    return t_monic(p, t_mul(p, prim, t_gcd(p, n, cf, cg)))
+
+
+def quotient_or_inexact(div, f, d):
+    try:
+        return div(f, d)
+    except FieldError as e:
+        return str(e)
+
+
+def kernel_inputs(ctx, rng, count):
+    """Pairs of polynomials: random, with a shared factor, and with a monomial."""
+    for i in range(count):
+        f = ctx.rand_poly(rng, max_deg=3, max_terms=4)
+        g = ctx.rand_poly(rng, max_deg=3, max_terms=4)
+        if i % 3 == 1:
+            h = ctx.rand_poly(rng, max_deg=2, max_terms=3)
+            f, g = f * h, g * h
+        elif i % 3 == 2:
+            g = ctx.rand_poly(rng, max_deg=3, max_terms=1) * ctx.rand_poly(rng, max_deg=1,
+                                                                         max_terms=1)
+        yield f, g
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_packed_kernel_matches_the_tuple_kernel(ctx):
+    p, n = ctx.p, ctx.n
+    rng = random.Random(400 + ctx.p * 10 + ctx.n)
+    for f, g in kernel_inputs(ctx, rng, 30):
+        F, G = f.by_exponents(), g.by_exponents()
+        assert ctx.poly(F) == f
+        # graded-lex order: leading terms and the rendering order
+        for poly, P in ((f, F), (g, G)):
+            if P:
+                assert ctx.unpack(poly.leading()[0]) == t_leading(P)[0]
+            assert [ctx.unpack(e) for e in sorted(poly.terms, reverse=True)] == sorted(
+                P, key=_grlex_key, reverse=True)
+        fg = f * g
+        assert fg.by_exponents() == t_mul(p, F, G)
+        assert poly_gcd(f, g).by_exponents() == t_gcd(p, n, F, G), (f, g)
+        if not g.is_zero():
+            assert exact_div(fg, g) == f
+            # exact and inexact divisions, the monomial case included
+            for num in (f, f + ctx.const_poly(1), fg + f):
+                assert quotient_or_inexact(lambda a, b: exact_div(a, b).by_exponents(),
+                                           num, g) == \
+                    quotient_or_inexact(lambda a, b: t_exact_div(p, a, b), num.by_exponents(), G)
+
+
+def exponent_vectors(n, budget):
+    """Vectors of n exponents with total degree at most budget."""
+    return st.lists(st.integers(0, budget), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= budget).map(tuple)
+
+
+def packed_contexts():
+    return st.sampled_from([Context(p, ("t", "u", "v")[:n]) for p in (2, 3) for n in (1, 2, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keys_round_trip_and_order_like_grlex(data):
+    ctx = data.draw(packed_contexts())
+    a = data.draw(exponent_vectors(ctx.n, EXP_LIMIT - 1))
+    b = data.draw(exponent_vectors(ctx.n, EXP_LIMIT - 1))
+    assert ctx.unpack(ctx.pack(a)) == a
+    assert ctx.poly({a: 1}).by_exponents() == {a: 1}
+    assert (ctx.pack(a) < ctx.pack(b)) == (_grlex_key(a) < _grlex_key(b))
+    assert (ctx.pack(a) == ctx.pack(b)) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_key_of_a_product_is_the_sum_of_the_keys(data):
+    ctx = data.draw(packed_contexts())
+    a = data.draw(exponent_vectors(ctx.n, EXP_LIMIT // 2))
+    b = data.draw(exponent_vectors(ctx.n, EXP_LIMIT // 2 - 1))
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert ctx.pack(a) + ctx.pack(b) == ctx.pack(ab)
+    assert (ctx.poly({a: 1}) * ctx.poly({b: 1})).by_exponents() == {ab: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inexact_monomial_division_is_caught(data):
+    ctx = data.draw(packed_contexts())
+    a = data.draw(exponent_vectors(ctx.n, EXP_LIMIT - 1))
+    b = data.draw(exponent_vectors(ctx.n, EXP_LIMIT - 1))
+    f = ctx.poly({a: 1, (0,) * ctx.n: 1}) if data.draw(st.booleans()) else ctx.poly({a: 1})
+    want = t_exact_div(ctx.p, f.by_exponents(), {b: 1}) if all(
+        x >= y for e in f.by_exponents() for x, y in zip(e, b)) else None
+    if want is None:
+        with pytest.raises(FieldError, match="inexact monomial division"):
+            exact_div(f, ctx.poly({b: 1}))
+    else:
+        assert exact_div(f, ctx.poly({b: 1})).by_exponents() == want
+
+
+def test_exponent_limit_is_enforced_without_wrapping():
+    L = EXP_LIMIT
+    ctx = Context(2, ("t", "u"))
+    t, u = ctx.gens()
+    one = ctx.const_poly(1)
+    assert ctx.poly({(L - 1, 0): 1}).total_degree() == L - 1
+    assert ctx.poly({(L - 2, 1): 1}).by_exponents() == {(L - 2, 1): 1}
+    for exps in ((L, 0), (L - 1, 1), (0, L), (L // 2, L // 2)):
+        with pytest.raises(FieldError, match="reaches the limit"):
+            ctx.poly({exps: 1})
+    # products: just below the limit, then at it
+    below = ctx.poly({(L - 2, 0): 1}) * ctx.poly({(0, 1): 1})
+    assert below.by_exponents() == {(L - 2, 1): 1}
+    with pytest.raises(FieldError, match="exponent limit"):
+        below * ctx.poly({(1, 0): 1, (0, 0): 1})
+    with pytest.raises(FieldError, match="exponent limit"):
+        ctx.poly({(0, L // 2): 1}) * ctx.poly({(0, L // 2): 1})
+    # powers: t^(L-1) needs no square of t^(L/2)
+    assert t ** (L - 1) == RatFunc(ctx, ctx.poly({(L - 1, 0): 1}), one)
+    assert u ** -(L - 1) == RatFunc(ctx, one, ctx.poly({(0, L - 1): 1}))
+    assert (t * u) ** (L // 2 - 1) == RatFunc(ctx, ctx.poly({(L // 2 - 1, L // 2 - 1): 1}), one)
+    for base, k in ((t, L), (u, -L), (t * u, L // 2), (t + u, L)):
+        with pytest.raises(FieldError, match="exponent limit"):
+            base ** k
+    with pytest.raises(FieldError, match="exponent limit"):
+        parse_element("*".join([f"t^{MAX_POWER_DEGREE}"] * (L // MAX_POWER_DEGREE)), ctx)
+    # Frobenius: x^k with k*p just below the limit, then at it, in num and den
+    for p in (2, 3, 5):
+        c = Context(p, ("x", "y"))
+        x, y = c.gens()
+        k = (L - 1) // p
+        assert frobenius(x ** k / y) == RatFunc(c, c.poly({(k * p, 0): 1}), c.poly({(0, p): 1}))
+        assert pth_root(frobenius(x ** k / y)) == x ** k / y
+        for a in (x ** (k + 1), y / x ** (k + 1), (x + y) ** (k + 1)):
+            with pytest.raises(FieldError, match="exponent limit"):
+                frobenius(a)
