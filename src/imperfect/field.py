@@ -20,7 +20,7 @@ Conventions fixed here and relied on by the rest of the package:
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
 class ImperfectError(Exception):
@@ -279,10 +279,19 @@ class SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_gcd(f: SparsePoly, g: SparsePoly) -> int:
-    """Key of the componentwise min of all exponent vectors of f and g (both nonzero)."""
-    ctx = f.ctx
-    return ctx.pack([min(v) for v in zip(*map(ctx.unpack, [*f.terms, *g.terms]))])
+def _min_exponents(keys: Collection[int], n: int) -> int:
+    """Key of the componentwise min of the exponent vectors of the given keys."""
+    out = deg = 0
+    for s in _SHIFTS[:n]:
+        low = min(e & (_FIELD << s) for e in keys)
+        out |= low
+        deg += low >> s
+    return out | (deg << _DEG_SHIFT)
+
+
+def _shift(f: SparsePoly, m: int) -> SparsePoly:
+    """f times the monomial of key m (or divided by it, for m < 0, when it divides)."""
+    return SparsePoly(f.ctx, {e + m: c for e, c in f.terms.items()})
 
 
 def _variables(f: SparsePoly, g: SparsePoly) -> list:
@@ -315,6 +324,31 @@ def _from_coeffs(ctx: Context, coeffs: dict, k: int) -> SparsePoly:
     return SparsePoly(ctx, out)
 
 
+def _quotient(f: SparsePoly, d: SparsePoly) -> Optional[SparsePoly]:
+    """f/d by long division when d divides f, else None (f and d nonzero)."""
+    p = f.ctx.p
+    d_lead, d_c = d.leading()
+    d_inv = pow(d_c, p - 2, p)
+    quo = {}
+    rem = dict(f.terms)
+    while rem:
+        r_lead = max(rem)
+        q = r_lead - d_lead
+        if q & _GUARD:
+            return None
+        qc = (rem[r_lead] * d_inv) % p
+        quo[q] = qc
+        # rem -= qc * x^q * d; the leading term cancels
+        for e, c in d.terms.items():
+            e += q
+            s = (rem.get(e, 0) - qc * c) % p
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return SparsePoly(f.ctx, quo)
+
+
 def exact_div(f: SparsePoly, d: SparsePoly) -> SparsePoly:
     """Exact polynomial division; raises if d does not divide f."""
     if d.is_zero():
@@ -335,26 +369,10 @@ def exact_div(f: SparsePoly, d: SparsePoly) -> SparsePoly:
                 raise FieldError("inexact monomial division")
             out[q] = (c * inv) % p
         return SparsePoly(ctx, out)
-    d_lead, d_c = d.leading()
-    d_inv = pow(d_c, p - 2, p)
-    quo = {}
-    rem = dict(f.terms)
-    while rem:
-        r_lead = max(rem)
-        q = r_lead - d_lead
-        if q & _GUARD:
-            raise FieldError("inexact polynomial division")
-        qc = (rem[r_lead] * d_inv) % p
-        quo[q] = qc
-        # rem -= qc * x^q * d; the leading term cancels
-        for e, c in d.terms.items():
-            e += q
-            s = (rem.get(e, 0) - qc * c) % p
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
-    return SparsePoly(ctx, quo)
+    quo = _quotient(f, d)
+    if quo is None:
+        raise FieldError("inexact polynomial division")
+    return quo
 
 
 def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
@@ -392,7 +410,21 @@ def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
 
 
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """gcd over F_p, normalized to leading coefficient 1."""
+    """gcd over F_p, normalized to leading coefficient 1.
+
+    The cases, in the order they are tried:
+
+    1. a zero input: the other input made monic (0 when both are zero);
+    2. a constant input: 1;
+    3. a monomial input: the monomial gcd;
+    4. the input with the smaller leading key divides the other (one trial
+       division): that input made monic;
+    5. a monomial factor in either input: gcd(x^a*f', x^b*g') =
+       x^min(a,b)*gcd(f', g'), the gcd on the right through these cases again;
+    6. one variable: Euclid;
+    7. otherwise the primitive PRS in the highest-index variable, with content
+       gcds through these cases again.
+    """
     ctx = f.ctx
     if f.is_zero() and g.is_zero():
         return ctx.const_poly(0)
@@ -403,7 +435,17 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if f.is_constant() or g.is_constant():
         return ctx.const_poly(1)
     if f.is_monomial() or g.is_monomial():
-        return SparsePoly(ctx, {_monomial_gcd(f, g): 1})
+        return SparsePoly(ctx, {_min_exponents([*f.terms, *g.terms], ctx.n): 1})
+    if max(g.terms) < max(f.terms):
+        f, g = g, f
+    if _quotient(g, f) is not None:
+        return _monic(f)
+    if 0 not in f.terms or 0 not in g.terms:
+        mf = _min_exponents(f.terms, ctx.n)
+        mg = _min_exponents(g.terms, ctx.n)
+        if mf or mg:
+            m = _min_exponents((mf, mg), ctx.n)
+            return _shift(poly_gcd(_shift(f, -mf), _shift(g, -mg)), m)
     used = _variables(f, g)
     k = used[-1]  # the main variable: the highest index occurring
     if len(used) == 1:

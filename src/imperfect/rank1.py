@@ -32,7 +32,18 @@ class Mat2:
     def __init__(self, ctx: Context, a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc):
         self.ctx = ctx
         self.a, self.b, self.c, self.d = a, b, c, d
-        if a * d - b * c != ctx.one():
+        if any(x.ctx is not ctx and x.ctx != ctx for x in (a, b, c, d)):
+            raise FieldError("mixed field contexts")
+        # a*d - b*c = 1 by cross-multiplication, without a gcd: with
+        # n1/d1 = a*d and n2/d2 = b*c left unreduced, n1*d2 - n2*d1 = d1*d2
+        if b.is_zero() or c.is_zero():
+            det_one = a.num * d.num == a.den * d.den
+        elif a.is_zero() or d.is_zero():
+            det_one = -(b.num * c.num) == b.den * c.den
+        else:
+            d1, d2 = a.den * d.den, b.den * c.den
+            det_one = a.num * d.num * d2 - b.num * c.num * d1 == d1 * d2
+        if not det_one:
             raise FieldError("matrix is not in SL2: determinant != 1")
 
     def __mul__(self, other: "Mat2") -> "Mat2":

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imperfect import field
 from imperfect.field import (
     EXP_LIMIT,
     MAX_POWER_DEGREE,
@@ -604,6 +605,60 @@ def test_packed_kernel_matches_the_tuple_kernel(ctx):
                 assert quotient_or_inexact(lambda a, b: exact_div(a, b).by_exponents(),
                                            num, g) == \
                     quotient_or_inexact(lambda a, b: t_exact_div(p, a, b), num.by_exponents(), G)
+
+
+def shortcut_inputs(ctx, rng, count):
+    """(divides, f, g) triples for the early returns of poly_gcd: equal inputs and
+    scalar multiples, one input dividing the other with and without monomial
+    factors, monomial content on one side or both, and coprime pairs carrying
+    monomial factors. divides says the answer needs no PRS: one input, after
+    the monomial content is split off, divides the other."""
+    def poly():
+        while True:
+            f = ctx.rand_poly(rng, max_deg=2, max_terms=3)
+            if len(f.terms) > 1:
+                return f
+
+    def mono():
+        return ctx.rand_poly(rng, max_deg=2, max_terms=1)
+
+    minus = ctx.const_poly(-1)
+    for _ in range(count):
+        f, g, h, m1, m2 = poly(), poly(), poly(), mono(), mono()
+        c = ctx.const_poly(rng.randint(1, ctx.p - 1))
+        yield True, f, f
+        yield True, f * c, f * minus
+        yield True, f * c, f * h
+        yield True, f * h, f * c
+        yield True, m1 * f, m1 * m2 * f * h
+        yield True, m1 * m2 * h * f * c, m2 * f
+        yield True, m1 * f, m2 * f * h
+        yield False, m1 * f * h, g * h
+        yield False, m1 * f * h, m2 * g * h
+        yield False, m1 * f, m2 * g
+        yield False, m1 * f, g
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_gcd_shortcuts_match_the_tuple_kernel(ctx, monkeypatch):
+    p, n = ctx.p, ctx.n
+    rng = random.Random(500 + ctx.p * 10 + ctx.n)
+    cases = list(shortcut_inputs(ctx, rng, 10))
+    for _, f, g in cases:
+        got = poly_gcd(f, g)
+        assert got.by_exponents() == t_gcd(p, n, f.by_exponents(), g.by_exponents()), (f, g)
+        assert got.leading()[1] == 1
+        assert exact_div(f, got) * got == f and exact_div(g, got) * got == g
+
+    def no_prs(*args):
+        raise AssertionError("reached the PRS")
+
+    # divisor inputs return before the PRS, in either order
+    monkeypatch.setattr(field, "_coeffs_in", no_prs)
+    monkeypatch.setattr(field, "_gcd_univ", no_prs)
+    for divides, f, g in cases:
+        if divides:
+            assert poly_gcd(f, g) == poly_gcd(g, f)
 
 
 def exponent_vectors(n, budget):

@@ -58,6 +58,50 @@ def test_generators_have_det_one():
         gen("h", CTX2.zero(), CTX2)
 
 
+def det_test_matrices(ctx, rng):
+    """Entry quadruples with denominators and zero entries; about half have det 1."""
+    def elem(nonzero=True):
+        return ctx.rand_ratfunc(rng, max_deg=2, max_terms=3, nonzero=nonzero)
+
+    zero, one = ctx.zero(), ctx.one()
+    for _ in range(12):
+        a, b, c = elem(), elem(), elem()
+        yield a, b, c, (one + b * c) / a
+        yield zero, b, -b.inverse(), c
+        yield a, zero, c, a.inverse()
+        yield a, b, zero, a.inverse()
+        # det != 1: a perturbed entry, a scalar multiple, a random matrix
+        yield a, b, c, (one + b * c) / a + elem()
+        yield a, zero, zero, ctx.scalar(2) / a
+        yield zero, b, c, elem(nonzero=False)
+        yield elem(nonzero=False), elem(nonzero=False), elem(nonzero=False), elem(nonzero=False)
+    yield zero, zero, zero, zero
+    yield zero, one, one, zero  # det -1, which is 1 for p = 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mat2_det_check_matches_reduced_fractions(p):
+    ctx = Context(p, ("t", "u"))
+    rng = random.Random(700 + p)
+    accepted = rejected = 0
+    for a, b, c, d in det_test_matrices(ctx, rng):
+        want = a * d - b * c == ctx.one()
+        entries = ";".join(map(str, (a, b, c, d)))
+        if want:
+            g = Mat2(ctx, a, b, c, d)
+            assert Mat2.parse(entries, ctx) == g
+            accepted += 1
+        else:
+            with pytest.raises(FieldError, match="determinant"):
+                Mat2(ctx, a, b, c, d)
+            with pytest.raises(FieldError, match="determinant"):
+                Mat2.parse(entries, ctx)
+            rejected += 1
+    assert accepted >= 40 and rejected >= 40
+    with pytest.raises(FieldError, match="mixed"):
+        Mat2(ctx, ctx.one(), Context(p, ("x",)).zero(), ctx.zero(), ctx.one())
+
+
 def test_weyl_relations():
     for ctx in (CTX2, CTX3):
         one = ctx.one()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from imperfect import _linalg
-from imperfect.field import Context, FieldError
+from imperfect.field import Context, FieldError, poly_gcd
 from imperfect.presets import Bundle
 from imperfect.rank1 import Membership, TorusWitness, torus_membership
 from imperfect.rank1 import gen as sl2_gen
@@ -354,6 +354,21 @@ def test_sp4_bruhat_roundtrip_domain_words():
         g = rand_word_matrix(spec, rng, length=5, torus=True)
         br = sp4_bruhat(g)
         assert br.to_matrix() == g
+
+
+def test_minor_gcd_of_a_slow_word():
+    # word 12 of the indifferent-proper draws: the numerators of its two
+    # lower-left minors have 12 and 18 terms in three variables, and their gcd
+    # is t^4; without the monomial split the PRS ran for seconds on them
+    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
+    rng = random.Random(5)
+    words = [rand_word_matrix(proper_spec(), rng, length=6, torus=True) * h for _ in range(13)]
+    g = words[12].rows
+    delta1 = g[3][0]
+    delta2 = g[2][0] * g[3][1] - g[2][1] * g[3][0]
+    assert (len(delta1.num.terms), len(delta2.num.terms)) == (12, 18)
+    t = g[0][0].ctx.var("t")
+    assert poly_gcd(delta1.num, delta2.num) == (t ** 4).num
 
 
 def test_sp4_bruhat_of_structured_elements():
