@@ -32,10 +32,13 @@ class Mat2:
     def __init__(self, ctx: Context, a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc):
         self.ctx = ctx
         self.a, self.b, self.c, self.d = a, b, c, d
-        if any(x.ctx is not ctx and x.ctx != ctx for x in (a, b, c, d)):
-            raise FieldError("mixed field contexts")
+        one = ctx.one()
+        for x in (a, b, c, d):
+            one._check(x)
         # a*d - b*c = 1 by cross-multiplication, without a gcd: with
-        # n1/d1 = a*d and n2/d2 = b*c left unreduced, n1*d2 - n2*d1 = d1*d2
+        # n1/d1 = a*d and n2/d2 = b*c left unreduced, n1*d2 - n2*d1 = d1*d2.
+        # A zero entry leaves one product; most matrices have one (torus,
+        # root and Weyl elements), and these branches halve the check's time.
         if b.is_zero() or c.is_zero():
             det_one = a.num * d.num == a.den * d.den
         elif a.is_zero() or d.is_zero():

@@ -1,6 +1,8 @@
 """The summary of tools/bench_pairs.py: medians, quartiles, wins and gates."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,20 @@ def test_a_single_pair_has_degenerate_quartiles():
     got = bench_pairs.summarize(pairs([100], [120], [1.0], [0.9]), METRICS)
     assert got["ops_per_s"]["parent"] == {"median": 100, "q1": 100, "q3": 100}
     assert got["ops_per_s"]["change_better_in_pairs"] == "1/1"
+
+
+def test_runs_against_another_parent_are_not_merged(tmp_path, monkeypatch):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "BENCHMARK.json"], check=True)
+    subprocess.run(git + ["commit", "-qm", "c"], check=True)
+    old = tmp_path / "BENCH_t.json"
+    old.write_text(json.dumps({"tag": "t", "parent": "0000000", "workloads": {}}))
+    before = old.read_text()
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    # refused before any run: the file and the checkout stay as they were
+    argv = ["--parent", "HEAD", "--workload", "matrix-words", "--seeds", "1", "--tag", "t"]
+    assert bench_pairs.main(argv) == 1
+    assert old.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".git", "BENCHMARK.json", "BENCH_t.json"]

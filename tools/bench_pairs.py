@@ -1,17 +1,18 @@
 """Alternating parent/change pairs of perfbench runs, summarized into BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --parent REF --workload NAME --seeds 1,2,3 --tag TAG
-                                 [--seconds S] [--out FILE]
 
 The parent side runs from the committed files of REF, exported with
 `git archive` into a temporary directory (the same files a fresh checkout
 has); the change side runs from this checkout. Each seed is one pair: both
 sides run `perfbench/run.py --workload NAME --seed N --trace 0`, the side that
-goes first alternating from pair to pair. The result is merged into
-BENCH_<tag>.json at the root of this checkout (or FILE) under
-workloads/NAME, so one file can hold several workloads: per-pair values,
-medians with [q1, q3] per side, wins per pair (ties count for neither side),
-the digest lines of both sides and the failed-op counts.
+goes first alternating from pair to pair, each for BENCHMARK.json's
+run_seconds. The result is merged into BENCH_<tag>.json at the root of this
+checkout under workloads/NAME, so one file can hold several workloads:
+per-pair values, medians with [q1, q3] per side, wins per pair (ties count
+for neither side), the digest lines of both sides and the failed-op counts.
+A file holds runs against one parent commit only; merging runs against
+another is refused.
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ def export(ref: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = res.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -102,14 +101,21 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated, one pair per seed")
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--seconds", type=float, help="run length; BENCHMARK.json's by default")
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}.json"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 capture_output=True, text=True, check=True).stdout.strip()
+    harness = (f"python3 perfbench/run.py --workload W --seed S --trace 0, run_seconds "
+               f"{spec['run_seconds']} from BENCHMARK.json; parent from `git archive` of its "
+               "commit, change from this checkout; pairs alternate which side runs first")
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    for key, value in (("parent", parent_rev), ("harness", harness)):
+        if doc.get(key, value) != value:
+            print(f"{out.name} holds runs with {key} {doc[key]!r}, not {value!r}; "
+                  "use another tag", file=sys.stderr)
+            return 1
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -121,7 +127,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             runs = {}
             for side in order:
-                runs[side] = run_once(dirs[side], args.workload, seed, args.seconds)
+                runs[side] = run_once(dirs[side], args.workload, seed)
                 for k in ("attempted", "failed"):
                     totals[side][k] += runs[side][k]
                 print(f"{args.workload} seed={seed} {side}: ops_per_s="
@@ -133,14 +139,9 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("tag", args.tag)
     doc["parent"] = parent_rev
-    doc["harness"] = ("python3 perfbench/run.py --workload W --seed S --trace 0"
-                      + (f" --seconds {args.seconds:g}" if args.seconds else
-                         f", run_seconds {spec['run_seconds']} from BENCHMARK.json")
-                      + "; parent from `git archive` of its commit, change from this "
-                        "checkout; pairs alternate which side runs first")
+    doc["harness"] = harness
     doc["quartiles"] = "statistics.quantiles(n=4, method='inclusive') over the runs of one side"
     doc.setdefault("workloads", {})[args.workload] = {
         "seeds": seeds,
