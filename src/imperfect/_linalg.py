@@ -1,9 +1,11 @@
 """Tiny exact linear algebra over a field of RatFunc-like elements.
 
 Matrices are lists of rows of RatFuncs. Systems here are small (at most a
-few dozen rows/columns). Spans and kernels use plain fraction-reducing
-Gaussian elimination; a span that answers many membership queries is
-eliminated once, in ColumnSpace. Rank runs fraction-free Bareiss.
+few dozen rows/columns). Each row is cleared of denominators, and the rows
+are eliminated by one fraction-free Gauss-Jordan (Bareiss) to d * RREF, d a
+minor. rank counts its pivots. A kernel first divides each row by the gcd
+of its entries, and divides by d once at the end. A span that answers many
+queries is eliminated once, in ColumnSpace.
 """
 
 from __future__ import annotations
@@ -13,120 +15,100 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .field import RatFunc, exact_div, poly_gcd
 
 
-def _weight(x) -> int:
-    """Complexity of an entry, used to pick pivots that limit blowup."""
-    return len(x.num.terms) * len(x.den.terms)
+def _sparsest(entries: list) -> Optional[int]:
+    """Index of the nonzero entry with the fewest terms (the first such), or None."""
+    pr = best = None
+    for i, x in enumerate(entries):
+        if not x.is_zero() and (best is None or len(x.terms) < best):
+            best, pr = len(x.terms), i
+            if best == 1:
+                break
+    return pr
 
 
-def _rref(rows: List[list], ncols: Optional[int] = None) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot column indices.
+def _gauss_jordan(mat: List[list], ncols: int, one) -> Tuple[List[list], List[int], object]:
+    """Fraction-free Gauss-Jordan on polynomial rows: (d * RREF, pivot columns, d).
 
-    Pivots are sought among the first `ncols` columns only (all by default);
-    the remaining columns are carried along by the row operations.
+    Pivots are sought among the first `ncols` columns, fewest terms first.
+    The pivot piv in row `top` turns every other row e, above it as well as
+    below, into (e * piv - e[c] * top) / prev, prev being the previous pivot.
+    Every entry is a minor of the input, so the division is exact, and all
+    pivot entries end equal to d, the last pivot (`one` when there is none).
+    A row that a step leaves alone (e[c] = 0) would only be multiplied by
+    piv / prev. That scaling is put off: lag[i] is the pivot of the step that
+    last updated row i, the row is held as its value times lag[i] / prev, and
+    it is brought up to date when it becomes the pivot row, or at the end.
+    An update of a held row divides by lag[i] in place of prev.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    if ncols is None:
-        ncols = len(m[0])
+    m = [list(r) for r in mat]
+    lag = [one] * len(m)
     pivots = []
-    r = 0
+    prev = one
     for c in range(ncols):
-        pr = None
-        best = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                w = _weight(m[i][c])
-                if best is None or w < best:
-                    best, pr = w, i
-                    if w <= 1:
-                        break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(m):
             break
-    return m, pivots
-
-
-def _rank_bareiss(mat: List[list]) -> int:
-    """Fraction-free rank of a polynomial matrix; no gcds, exact divisions only.
-
-    One-step Bareiss with row pivoting by sparsity; every intermediate entry
-    is a minor of the input, so the division by the previous pivot is exact.
-    Rows below the current one only keep the columns still in play.
-    """
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    # active[i] holds columns c..ncols-1 of the i-th unfinished row
-    active = [list(r) for r in mat]
-    prev = None
-    r = 0
-    for c in range(ncols):
-        if not active:
-            break
-        pr = None
-        best = None
-        for i, row in enumerate(active):
-            if not row[0].is_zero():
-                w = len(row[0].terms)
-                if best is None or w < best:
-                    best, pr = w, i
-                    if w == 1:
-                        break
+        pr = _sparsest([row[c] for row in m[r:]])
         if pr is None:
-            for row in active:
-                del row[0]
             continue
-        top = active.pop(pr)
-        piv = top[0]
-        width = len(top)
-        nxt = []
-        for row in active:
-            ei = row[0]
-            if ei.is_zero():
-                new = [row[j] * piv for j in range(1, width)]
-            else:
-                new = [row[j] * piv - top[j] * ei for j in range(1, width)]
-            if prev is not None:
-                new = [exact_div(v, prev) for v in new]
-            if any(not v.is_zero() for v in new):
-                nxt.append(new)
-        active = nxt
+        m[r], m[r + pr] = m[r + pr], m[r]
+        lag[r], lag[r + pr] = lag[r + pr], lag[r]
+        top = m[r]
+        if lag[r] is not prev:
+            top = m[r] = _rescale(top, prev, lag[r])
+        piv = top[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i == r or b.is_zero():
+                continue
+            s = lag[i]
+            new = []
+            for a, e in zip(row, top):
+                if e.is_zero():
+                    new.append(a if a.is_zero() else exact_div(a * piv, s))
+                elif a.is_zero():
+                    new.append(exact_div(-(b * e), s))
+                else:
+                    new.append(exact_div(a * piv - b * e, s))
+            m[i] = new
+            lag[i] = piv
+        lag[r] = piv
+        pivots.append(c)
         prev = piv
-        r += 1
-    return r
+    for i, s in enumerate(lag):
+        if s is not prev:
+            m[i] = _rescale(m[i], prev, s)
+    return m, pivots, prev
+
+
+def _rescale(row: list, num, den) -> list:
+    """The row times num / den, a polynomial row."""
+    if num == den:
+        return row
+    return [a if a.is_zero() else exact_div(a * num, den) for a in row]
 
 
 def rank(rows: List[list]) -> int:
-    """Rank by Bareiss, after scaling each row by the lcm of its denominators."""
-    mat = []
-    for row in rows:
-        lcm = _den_lcm(row[0].ctx, row) if row else None  # an empty row stays empty
-        mat.append([x.num if lcm.is_one() else x.num * exact_div(lcm, x.den) for x in row])
-    return _rank_bareiss(mat)
+    """Rank: the number of pivots of the rows cleared of denominators."""
+    if not rows or not rows[0]:
+        return 0
+    field = rows[0][0].ctx
+    mat = [_clear_denominators(field, row)[1] for row in rows]
+    return len(_gauss_jordan(mat, len(mat[0]), field.const_poly(1))[1])
 
 
 def nullspace(rows: List[list], ncols: int, field) -> List[list]:
     """Basis of the right kernel of a matrix with `ncols` columns; read off
     the reduced echelon form, it depends only on the kernel."""
-    red, pivots = _rref(rows)
+    mat = [_primitive(field, row) for row in rows]
+    red, pivots, d = _gauss_jordan(mat, ncols, field.const_poly(1))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [field.zero()] * ncols
         v[fc] = field.one()
         for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+            v[pc] = RatFunc(field, -red[i][fc], d)
         basis.append(v)
     return basis
 
@@ -134,43 +116,44 @@ def nullspace(rows: List[list], ncols: int, field) -> List[list]:
 class ColumnSpace:
     """The span of a fixed list of columns, eliminated once and queried often.
 
-    The constructor row-reduces [columns^T | I_w] a single time, which gives
-    rows R = E * columns^T in reduced echelon form with pivot columns P.
-    Then for a vector b of the column length:
+    The constructor scales each column c_i by the lcm L_i of its denominators
+    and eliminates the rows [L_i * c_i | L_i * e_i] once, to d * [R | E]: R is
+    the reduced echelon form of columns^T with pivot columns P, d its pivot
+    minor, and E * columns^T = R, the scaling being undone by E. For a vector b
+    of the column length:
       - b lies in the span iff b = sum_i b[P_i] * R_i, which only needs
-        checking off the pivots: one linear form per non-pivot coordinate,
-        whose values `residuals` returns;
-      - x = E^T * b[P] solves columns @ x = b.
-    Both are kept as dot products with polynomial rows (each row of the
-    identity scaled by the lcm of its denominators), so a query on a
-    polynomial b (see pbasis.lambda_numerators) runs no gcd until the one
-    division per solution entry. `ok` records whether the columns are
-    linearly independent, in which case that solution is the unique one.
-    Entries are RatFuncs over the context `field`.
+        checking off the pivots: the forms d * b[j] - sum_i d * R_i[j] * b[P_i]
+        for the non-pivot coordinates j, whose values `residuals` returns;
+      - x = E^T * b[P] solves columns @ x = b, and d * x has polynomial rows.
+    So a query on a polynomial b (see pbasis.lambda_numerators) runs no gcd
+    until the one division by d per solution entry. `ok` records whether the
+    columns are linearly independent, in which case that solution is the
+    unique one. Entries are RatFuncs over the context `field`.
     """
 
     def __init__(self, columns: Sequence[list], field):
         w = len(columns)
         n = len(columns[0]) if columns else 0
-        zero, one = field.zero(), field.one()
-        aug = [
-            list(col) + [one if j == i else zero for j in range(w)]
-            for i, col in enumerate(columns)
-        ]
-        red, pivots = _rref(aug, n)
+        zero = field.const_poly(0)
+        aug = []
+        for i, col in enumerate(columns):
+            lcm, row = _clear_denominators(field, col)
+            aug.append(row + [lcm if j == i else zero for j in range(w)])
+        red, pivots, d = _gauss_jordan(aug, n, field.const_poly(1))
         self.ok = len(pivots) == w
         self._field = field
         self._empty = not w
-        # checks: L_j * b[j] - sum_i L_j * R_i[j] * b[P_i] = 0 for each free column j
+        self._d = d
         self._checks = []
         for j in range(n):
             if j not in pivots:
-                lcm, terms = _cleared(field, [(c, -row[j]) for c, row in zip(pivots, red)])
-                terms.append((j, _as_ratfunc(field, lcm)))
+                terms = [(c, _as_ratfunc(field, -row[j])) for c, row in zip(pivots, red)
+                         if not row[j].is_zero()]
+                terms.append((j, _as_ratfunc(field, d)))
                 self._checks.append(terms)
-        # solution entry k: x_k = sum_i M_k * E_i[k] * b[P_i] / M_k
         self._solution = [
-            _cleared(field, [(c, row[n + k]) for c, row in zip(pivots, red)])
+            [(c, _as_ratfunc(field, row[n + k])) for c, row in zip(pivots, red)
+             if not row[n + k].is_zero()]
             for k in range(w)
         ]
 
@@ -191,12 +174,12 @@ class ColumnSpace:
         """
         if not self.contains(b):
             return None
+        den = self._d * den
         out = []
-        for lcm, terms in self._solution:
+        for terms in self._solution:
             acc = _dot(terms, b, self._field.zero())
-            lcm = lcm * den
-            out.append(acc if lcm.is_one() or not acc else
-                       RatFunc(self._field, acc.num, acc.den * lcm))
+            out.append(acc if den.is_one() or not acc else
+                       RatFunc(self._field, acc.num, acc.den * den))
         return out
 
 
@@ -204,21 +187,29 @@ def _as_ratfunc(field, f):
     return RatFunc(field, f, field.const_poly(1), reduce=False)
 
 
-def _cleared(field, entries):
-    """The lcm L of the entries' denominators, and the nonzero entries times L."""
-    lcm = _den_lcm(field, [e for _, e in entries])
-    terms = [
-        (k, _as_ratfunc(field, e.num * exact_div(lcm, e.den))) for k, e in entries if e
-    ]
-    return lcm, terms
-
-
-def _den_lcm(field, xs):
+def _clear_denominators(field, row):
+    """The lcm L of the row's denominators, and the row times L: polynomials."""
     lcm = field.const_poly(1)
-    for x in xs:
+    for x in row:
         if x and not x.den.is_one():
             lcm = lcm * exact_div(x.den, poly_gcd(lcm, x.den))
-    return lcm
+    return lcm, [x.num if lcm.is_one() else x.num * exact_div(lcm, x.den) for x in row]
+
+
+def _primitive(field, row):
+    """The row cleared of denominators and divided by the gcd of its entries.
+
+    Scaling a row does not change the kernel, and a common factor left in
+    would be carried into every minor of the elimination.
+    """
+    row = _clear_denominators(field, row)[1]
+    g = None
+    for x in row:
+        if not x.is_zero():
+            g = x if g is None else poly_gcd(g, x)
+            if g.is_constant():
+                return row
+    return row if g is None else [exact_div(x, g) for x in row]
 
 
 def _dot(terms, b, acc):

@@ -1,10 +1,13 @@
-"""ColumnSpace against a fresh elimination per query.
+"""ColumnSpace, nullspace and rank against fraction-reducing elimination.
 
-`in_column_space` below is the per-query Gaussian elimination that the
-package used before ColumnSpace; it stays here as the differential oracle.
+`_rref` below is the Gauss-Jordan elimination with a gcd in every entry
+operation that the package used before its eliminations went fraction-free,
+and `in_column_space` the per-query elimination that it used before
+ColumnSpace; both stay here as differential oracles.
 """
 
 import random
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -18,13 +21,57 @@ NAMES = ("s", "t", "v")
 CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
 
 
+def _weight(x) -> int:
+    """Complexity of an entry, used to pick pivots that limit blowup."""
+    return len(x.num.terms) * len(x.den.terms)
+
+
+def _rref(rows: List[list], ncols: Optional[int] = None) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form (in place on a copy) and pivot column indices.
+
+    Pivots are sought among the first `ncols` columns only (all by default);
+    the remaining columns are carried along by the row operations.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    if ncols is None:
+        ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        best = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                w = _weight(m[i][c])
+                if best is None or w < best:
+                    best, pr = w, i
+                    if w <= 1:
+                        break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def solve(rows, rhs, field):
     """One solution x of rows @ x = rhs with free variables zero, or None."""
     if not rows:
         return []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _linalg._rref(aug)
+    red, pivots = _rref(aug)
     for i in range(len(red)):
         if not any(red[i][:ncols]) and red[i][ncols]:
             return None
@@ -116,7 +163,7 @@ def test_residuals_cut_out_the_span(p, n):
         forms = [list(row) for row in zip(*[list(space.residuals(e)) for e in units])]
         assert len(forms) == size - w
         kernel = _linalg.nullspace(forms, size, ctx)
-        assert _linalg._rref(kernel)[0] == _linalg._rref(columns)[0]
+        assert _rref(kernel)[0] == _rref(columns)[0]
         member = combine(columns, rand_coeffs(rng, ctx, w), ctx)
         assert not any(space.residuals(member))
         checked += 1
@@ -128,9 +175,69 @@ def test_nullspace_without_rows_is_everything():
     assert _linalg.nullspace([], 2, ctx) == [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]
 
 
+def rref_nullspace(rows, ncols, field):
+    """The kernel basis read off the oracle's reduced echelon form."""
+    red, pivots = _rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [field.zero()] * ncols
+            v[fc] = field.one()
+            for i, pc in enumerate(pivots):
+                v[pc] = -red[i][fc]
+            basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_nullspace_matches_the_reduced_echelon_form(p, n):
+    """nullspace divides d * RREF by d: its vectors are the oracle's, entry for entry."""
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(700 * p + n)
+    seen = set()
+    for trial in range(12):
+        width = rng.randint(1, 3)
+        # small shapes, as in the rank test, keep the oracle quick
+        rows = [[ctx.rand_ratfunc(rng, max_deg=1, max_terms=2) for _ in range(width)]
+                for _ in range(trial % 4)]
+        if rows:
+            rows[0] = [x / (ctx.gens()[0] + ctx.one()) for x in rows[0]]
+            if trial % 2:
+                # a combination of the others makes the rows dependent
+                rows.append(combine(rows, rand_coeffs(rng, ctx, len(rows)), ctx))
+                seen.add("dependent")
+            if trial % 3 == 0:
+                rows.insert(rng.randint(0, len(rows)), [ctx.zero()] * width)
+                seen.add("zero row")
+        else:
+            seen.add("no rows")
+        if any(not x.den.is_one() for row in rows for x in row):
+            seen.add("denominators")
+        got = _linalg.nullspace(rows, width, ctx)
+        assert got == rref_nullspace(rows, width, ctx)
+        for v in got:
+            assert all(not sum((a * x for a, x in zip(row, v)), ctx.zero()) for row in rows)
+        seen.add("trivial kernel" if not got else "kernel")
+    assert seen == {"dependent", "zero row", "no rows", "denominators", "trivial kernel", "kernel"}
+
+
+def test_nullspace_divides_each_row_by_its_content():
+    """A factor common to a row's entries is divided out before the
+    elimination, where it would enter every minor; the kernel is the oracle's."""
+    ctx = Context(3, ("s", "t"))
+    s, t = ctx.gens()
+    one = ctx.one()
+    f = s * s + t + one
+    rows = [[f * s, f * t / (s + one), ctx.zero()], [t, s, one]]
+    assert _linalg._primitive(ctx, rows[0]) == [(s * (s + one)).num, t.num, ctx.const_poly(0)]
+    assert _linalg._primitive(ctx, rows[1]) == [t.num, s.num, ctx.const_poly(1)]
+    assert _linalg.nullspace(rows, 3, ctx) == rref_nullspace(rows, 3, ctx)
+
+
 @pytest.mark.parametrize("p,n", CASES)
 def test_rank_with_denominators_matches_rref(p, n):
-    """rank clears row denominators and runs Bareiss; _rref reduces fractions."""
+    """rank clears row denominators and counts the pivots of the fraction-free
+    elimination; the oracle reduces fractions."""
     ctx = Context(p, NAMES[:n])
     rng = random.Random(300 * p + n)
     ranks = set()
@@ -149,7 +256,7 @@ def test_rank_with_denominators_matches_rref(p, n):
             rows.append([ctx.zero()] * width)
         fractions += any(not x.den.is_one() for row in rows for x in row)
         got = _linalg.rank(rows)
-        assert got == len(_linalg._rref(rows)[1])
+        assert got == len(_rref(rows)[1])
         ranks.add(got == min(len(rows), width))
     assert ranks == {True, False}  # both full and deficient rank were seen
     assert fractions >= 8
@@ -176,6 +283,60 @@ def test_column_space_without_columns_is_zero():
     assert space.solve([ctx.zero(), ctx.zero()], ctx.const_poly(1)) == []
     assert not space.contains([ctx.zero(), ctx.one()])
     assert list(space.residuals([ctx.zero(), ctx.one()])) == [ctx.zero(), ctx.one()]
+
+
+def test_column_space_of_a_zero_column():
+    """No pivot at all: d is 1, the span is {0} and the residuals are b itself."""
+    ctx = Context(3, ("s", "v"))
+    s, v = ctx.gens()
+    space = ColumnSpace([[ctx.zero()] * 3], ctx)
+    assert not space.ok
+    b = [s, ctx.zero(), ctx.one() / (v + ctx.one())]
+    assert list(space.residuals(b)) == b
+    assert not space.contains(b)
+    assert space.solve([ctx.zero()] * 3, ctx.const_poly(1)) == [ctx.zero()]
+
+
+def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
+    """3 x 4 matrices over F_3(s,t,v) plus a zero row, on which the oracle's
+    fraction-reducing elimination runs for seconds (28.7 s on one); spans
+    and ranks must still come out right.
+
+    Left out, because the gcd that reduces a large minor can still take
+    minutes: nullspace, whose final division by d is such a gcd, and solve
+    on the transposed matrices, whose columns are dependent, so that a
+    solution entry is a ratio of 3 x 3 minors (over two minutes on the
+    third matrix).
+    """
+    ctx = Context(3, NAMES)
+    s = ctx.gens()[0]
+    rng = random.Random(903)
+    matrices = []
+    for _ in range(40):
+        rows = [[ctx.rand_ratfunc(rng, max_deg=1, max_terms=2) for _ in range(4)]
+                for _ in range(3)]
+        rows[0] = [x / (s + ctx.one()) for x in rows[0]]
+        matrices.append(rows + [[ctx.zero()] * 4])
+    pick = random.Random(904)
+    verdicts = set()
+    for rows in matrices:
+        transposed = [list(c) for c in zip(*rows)]
+        for columns in (rows, transposed, rows[:3]):
+            space = ColumnSpace(columns, ctx)
+            assert space.ok == (_linalg.rank(columns) == len(columns))
+            verdicts.add(space.ok)
+            coeffs = rand_coeffs(pick, ctx, len(columns))
+            member = combine(columns, coeffs, ctx)
+            assert space.contains(member)
+            if columns is transposed:
+                # the zero row leaves every column's last coordinate zero
+                assert not space.contains(member[:3] + [ctx.one()])
+                continue
+            got = space.solve(member, ctx.const_poly(1))
+            assert combine(columns, got, ctx) == member
+            if space.ok:
+                assert got == coeffs
+    assert verdicts == {True, False}
 
 
 def tower_gens(rng, ctx, k):
@@ -279,6 +440,11 @@ def test_spec_constructors_reject_bad_generators():
         SubfieldSpec("F", (t, t * frobenius(u)), ctx)
     with pytest.raises(SpecError, match="not p-independent"):
         SubfieldSpec("F", (t, u, t + u), ctx)
+    # a p-th power has zero differential: the elimination finds no pivot at all
+    for q in (2, 3):
+        ctx_q = Context(q, ("t",))
+        with pytest.raises(SpecError, match="not p-independent"):
+            SubfieldSpec("F", (ctx_q.gens()[0] ** q,), ctx_q)
     kp = SubfieldSpec("Kp", (), ctx)
     with pytest.raises(SpecError, match="not linearly independent"):
         RSpaceSpec("R", kp, [ctx.one(), t, t + frobenius(u)])
