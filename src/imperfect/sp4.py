@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import _linalg
 from .field import Context, FieldError, RatFunc, pth_root, render_element
 from .pbasis import p_monomial
 from .rank1 import Membership, TimmesfeldData, TorusWitness, torus_membership
@@ -203,8 +202,10 @@ def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
 
     x1(t) x2(b) x3(c) x4(a) multiplies out to
         [1, t, c+at, b+ct; 0, 1, a, c; 0, 0, 1, t; 0, 0, 0, 1]
-    and the extraction inverts that; mismatched entries mean the input was
-    not in the image.
+    and the extraction inverts that. Entries (0, 1), (1, 2) and (1, 3) give
+    t, a and c, and (0, 3) gives b: in characteristic 2, b + ct equals
+    r[0][3] for every b, so (2, 3) and (0, 2) are the only entries left to
+    test, and a mismatch there means the input was not in the image.
     """
     ctx = m.ctx
     if datum is None:
@@ -222,11 +223,7 @@ def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
     b = r[0][3] + c * t
     if r[2][3] != t or r[0][2] != c + a * t:
         raise SpecError("matrix is not in the positive unipotent subgroup")
-    u = UElement(datum, (t, b, c, a))
-    exp = u_to_mat(u)
-    if exp != m:
-        raise SpecError("matrix is not in the positive unipotent subgroup")
-    return u
+    return UElement(datum, (t, b, c, a))
 
 
 # ---------------------------------------------------------------------------
@@ -297,60 +294,55 @@ class Bruhat4:
                 * weyl_rep(self.word, ctx) * u_to_mat(self.u2))
 
 
-def _pivot_rows(g: Mat4) -> Tuple[int, ...]:
-    """Pivot row of each column: where the rank of the trailing-row block jumps.
-
-    The ranks for the first j + 1 columns are the previous ranks of the next
-    column, so each of the 16 blocks is ranked once.
-    """
-    perm = []
-    prev = [0] * 4
-    for j in range(4):
-        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
-        perm.append(max(i for i in range(4) if cur[i] > prev[i]))
-        prev = cur
-    return tuple(perm)
-
-
 def sp4_bruhat(g: Mat4) -> Bruhat4:
     """Canonical u1 * h * n_w * u2 with u2 supported on the descent slots.
 
-    The Weyl chamber is found from the rank pattern of lower-left
-    submatrices; the rest is a triangular/lower-unipotent splitting with
-    exact back substitution, verified by reassembly.
+    One bottom-up pass writes g = B * V with B = u1 * h upper triangular and
+    V = n_w * u2. Row i of V is 1 in its pivot column col[i], the leftmost
+    column where row i's residual is nonzero, and 0 in the pivot columns of
+    the rows below it. The pivot columns give the chamber, the diagonal of B
+    the torus part, B's columns over that diagonal u1, and V's rows in
+    pivot-column order u2. Each entry is reduced once, and the result is
+    verified by reassembly.
     """
     ctx = g.ctx
     if not is_symplectic(g):
         raise SpecError("matrix does not preserve the form")
-    perm = _pivot_rows(g)
+    zero, one = ctx.zero(), ctx.one()
+    B = [[zero] * 4 for _ in range(4)]
+    V = [[zero] * 4 for _ in range(4)]
+    col = [0] * 4
+    for i in range(3, -1, -1):
+        row = g.rows[i]
+        for k in range(3, i, -1):
+            acc = row[col[k]]
+            for l in range(k + 1, 4):
+                acc = acc - B[i][l] * V[l][col[k]]
+            B[i][k] = acc
+        free = [j for j in range(4) if j not in col[i + 1:]]
+        r = {}
+        for j in free:
+            acc = row[j]
+            for k in range(i + 1, 4):
+                acc = acc - B[i][k] * V[k][j]
+            r[j] = acc
+        nonzero = [j for j in free if not r[j].is_zero()]
+        if not nonzero:
+            raise InvariantViolation("degenerate pivot in the triangular split")
+        col[i] = nonzero[0]
+        B[i][i] = r[col[i]]
+        for j in free:
+            V[i][j] = one if j == col[i] else r[j] / B[i][i]
+    perm = tuple(col.index(j) for j in range(4))
     word = _CHAMBER.get(perm)
     if word is None:
         raise InvariantViolation(f"pivot pattern {list(perm)} matches no Weyl chamber")
-    n_w = weyl_rep(word, ctx)
-    m = (g * n_w.inverse()).rows
-    # split m = B * W, B upper triangular, W lower unipotent
-    B = [[ctx.zero()] * 4 for _ in range(4)]
-    W = [[ctx.one() if i == j else ctx.zero() for j in range(4)] for i in range(4)]
-    for i in range(3, -1, -1):
-        for j in range(3, i - 1, -1):
-            acc = m[i][j]
-            for k in range(j + 1, 4):
-                acc = acc + B[i][k] * W[k][j]
-            B[i][j] = acc
-        if B[i][i].is_zero():
-            raise InvariantViolation("degenerate pivot in the triangular split")
-        for j in range(i - 1, -1, -1):
-            acc = m[i][j]
-            for k in range(i + 1, 4):
-                acc = acc + B[i][k] * W[k][j]
-            W[i][j] = acc / B[i][i]
     s_alpha, s_beta = torus_coords(
-        Mat4(ctx, [[B[i][i] if i == j else ctx.zero() for j in range(4)] for i in range(4)])
+        Mat4(ctx, [[B[i][i] if i == j else zero for j in range(4)] for i in range(4)])
     )
-    h = torus_matrix(s_alpha, s_beta)
-    u1 = mat_to_u(Mat4(ctx, B) * h.inverse())
-    u2_mat = n_w.inverse() * Mat4(ctx, W) * n_w
-    u2 = mat_to_u(u2_mat)
+    u1 = mat_to_u(Mat4(ctx, [[one if i == j else B[i][j] / B[j][j] for j in range(4)]
+                             for i in range(4)]))
+    u2 = mat_to_u(Mat4(ctx, [V[p] for p in perm]))
     allowed = descent_slots(word)
     for slot, _ in u2.word():
         if slot not in allowed:

@@ -11,7 +11,6 @@ from imperfect.rank1 import gen as sl2_gen
 from imperfect.sp4 import (
     _CHAMBER,
     _WEYL_PERM,
-    _pivot_rows,
     _slot_escape,
     _torus_data,
     SLOT_ROOT,
@@ -38,7 +37,7 @@ from imperfect.sp4 import (
     weyl_apply,
     weyl_rep,
 )
-from imperfect.tower import IndifferentSpec, SpecError
+from imperfect.tower import IndifferentSpec, InvariantViolation, SpecError
 from imperfect.unipotent import UElement, u_mult
 
 
@@ -178,6 +177,13 @@ def test_mat_to_u_rejects_bad_input():
     m = Mat4(ctx, rows)
     with pytest.raises(SpecError):
         mat_to_u(m)
+    # x1(t) x4(u) with only r[0][2] = c + a*t broken
+    t, u = ctx.gens()
+    x = UElement(full_datum(ctx), (t, ctx.zero(), ctx.zero(), u))
+    rows = [list(r) for r in u_to_mat(x).rows]
+    rows[0][2] = rows[0][2] + ctx.one()
+    with pytest.raises(SpecError):
+        mat_to_u(Mat4(ctx, rows))
 
 
 def transpose(g):
@@ -268,13 +274,15 @@ def test_weyl_table_matches_product_definition():
 
 def test_chamber_lookup_matches_trial_loop():
     ctx = CTX
-    t = ctx.var("t")
+    t, u = ctx.gens()
     for w in WEYL_WORDS:
         perm = _perm_of(weyl_product(w, ctx))
         trial = next(v for v in WEYL_WORDS if _perm_of(weyl_product(v, ctx)) == perm)
         assert _CHAMBER[perm] == trial == w
         g = torus_matrix(t, ctx.one()) * weyl_rep(w, ctx)
         assert sp4_bruhat(g).word == w
+    cells = [torus_matrix(t, u) * weyl_rep(w, ctx) for w in WEYL_WORDS] + [identity4(ctx)]
+    assert assert_matches_oracle(cells) == set(WEYL_WORDS)
 
 
 def full_rank_pivot_rows(g):
@@ -288,6 +296,90 @@ def full_rank_pivot_rows(g):
     return tuple(perm)
 
 
+# sp4_bruhat as it was before the one-pass split: the chamber from the rank
+# pattern of lower-left blocks, then a triangular split of g * n_w^-1; kept
+# as the oracle for the one pass
+
+
+def old_pivot_rows(g: Mat4):
+    """Pivot row of each column: where the rank of the trailing-row block jumps.
+
+    The ranks for the first j + 1 columns are the previous ranks of the next
+    column, so each of the 16 blocks is ranked once.
+    """
+    perm = []
+    prev = [0] * 4
+    for j in range(4):
+        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
+        perm.append(max(i for i in range(4) if cur[i] > prev[i]))
+        prev = cur
+    return tuple(perm)
+
+
+def old_sp4_bruhat(g: Mat4) -> Bruhat4:
+    """Canonical u1 * h * n_w * u2 with u2 supported on the descent slots.
+
+    The Weyl chamber is found from the rank pattern of lower-left
+    submatrices; the rest is a triangular/lower-unipotent splitting with
+    exact back substitution, verified by reassembly.
+    """
+    ctx = g.ctx
+    if not is_symplectic(g):
+        raise SpecError("matrix does not preserve the form")
+    perm = old_pivot_rows(g)
+    word = _CHAMBER.get(perm)
+    if word is None:
+        raise InvariantViolation(f"pivot pattern {list(perm)} matches no Weyl chamber")
+    n_w = weyl_rep(word, ctx)
+    m = (g * n_w.inverse()).rows
+    # split m = B * W, B upper triangular, W lower unipotent
+    B = [[ctx.zero()] * 4 for _ in range(4)]
+    W = [[ctx.one() if i == j else ctx.zero() for j in range(4)] for i in range(4)]
+    for i in range(3, -1, -1):
+        for j in range(3, i - 1, -1):
+            acc = m[i][j]
+            for k in range(j + 1, 4):
+                acc = acc + B[i][k] * W[k][j]
+            B[i][j] = acc
+        if B[i][i].is_zero():
+            raise InvariantViolation("degenerate pivot in the triangular split")
+        for j in range(i - 1, -1, -1):
+            acc = m[i][j]
+            for k in range(i + 1, 4):
+                acc = acc + B[i][k] * W[k][j]
+            W[i][j] = acc / B[i][i]
+    s_alpha, s_beta = torus_coords(
+        Mat4(ctx, [[B[i][i] if i == j else ctx.zero() for j in range(4)] for i in range(4)])
+    )
+    h = torus_matrix(s_alpha, s_beta)
+    u1 = mat_to_u(Mat4(ctx, B) * h.inverse())
+    u2_mat = n_w.inverse() * Mat4(ctx, W) * n_w
+    u2 = mat_to_u(u2_mat)
+    allowed = descent_slots(word)
+    for slot, _ in u2.word():
+        if slot not in allowed:
+            raise InvariantViolation(
+                f"tail coordinate in slot {slot} outside the chamber support {allowed}"
+            )
+    out = Bruhat4(u1, word, s_alpha, s_beta, u2)
+    if out.to_matrix() != g:
+        raise InvariantViolation("decomposition does not reassemble")
+    return out
+
+
+def bruhat_fields(br):
+    return br.word, br.s_alpha, br.s_beta, br.u1.coords, br.u2.coords
+
+
+def assert_matches_oracle(mats):
+    words = set()
+    for g in mats:
+        got = sp4_bruhat(g)
+        assert bruhat_fields(got) == bruhat_fields(old_sp4_bruhat(g))
+        words.add(got.word)
+    return words
+
+
 def test_pivot_rows_match_full_rank_loop():
     rng = random.Random(6)
     spec = line_spec()
@@ -298,9 +390,9 @@ def test_pivot_rows_match_full_rank_loop():
     mats += [identity4(CTX), chevalley_gen(Sp4Root("-beta"), t)]
     words = set()
     for g in mats:
-        perm = _pivot_rows(g)
-        assert perm == full_rank_pivot_rows(g)
-        words.add(_CHAMBER[perm])
+        word = sp4_bruhat(g).word
+        assert _WEYL_PERM[word] == full_rank_pivot_rows(g) == old_pivot_rows(g)
+        words.add(word)
     assert words == set(WEYL_WORDS)
 
 
@@ -343,6 +435,7 @@ def test_sp4_bruhat_roundtrip_words():
         g = rand_plain_word(CTX, rng)
         br = sp4_bruhat(g)
         assert br.to_matrix() == g
+        assert bruhat_fields(br) == bruhat_fields(old_sp4_bruhat(g))
         seen_words.add(br.word)
     assert len(seen_words) >= 5  # several cells actually exercised
 
@@ -354,6 +447,7 @@ def test_sp4_bruhat_roundtrip_domain_words():
         g = rand_word_matrix(spec, rng, length=5, torus=True)
         br = sp4_bruhat(g)
         assert br.to_matrix() == g
+        assert bruhat_fields(br) == bruhat_fields(old_sp4_bruhat(g))
 
 
 def test_minor_gcd_of_a_slow_word():
@@ -384,6 +478,37 @@ def test_sp4_bruhat_of_structured_elements():
     assert br.word == "abab"
     br = sp4_bruhat(chevalley_gen(Sp4Root("-beta"), t))
     assert br.word == "b"
+
+
+def test_sp4_bruhat_matches_oracle_on_proper_words():
+    # words 2, 12 and 23 of these draws take seconds on both procedures
+    spec = proper_spec()
+    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
+    rng = random.Random(5)
+    words = [rand_word_matrix(spec, rng, length=6, torus=True) * h for _ in range(30)]
+    assert_matches_oracle([g for k, g in enumerate(words) if k not in (2, 12, 23)])
+
+
+def rand_fraction(ctx, rng):
+    num = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True, denominators=False)
+    return num / (ctx.var(rng.choice(ctx.names)) + ctx.scalar(rng.randint(0, 1)))
+
+
+def test_sp4_bruhat_matches_oracle_with_denominators():
+    ctx = CTX
+    rng = random.Random(62)
+    mats = []
+    for _ in range(40):
+        g = identity4(ctx)
+        for _ in range(rng.randint(1, 4)):
+            g = g * chevalley_gen(Sp4Root(rng.choice(ALL_ROOTS)), rand_fraction(ctx, rng))
+        if rng.random() < 0.5:
+            g = g * torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng))
+        mats.append(g)
+    mats += [torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)) * weyl_rep(w, ctx)
+             for w in WEYL_WORDS for _ in range(2)]
+    assert sum(any(not e.is_poly() for row in g.rows for e in row) for g in mats) >= 50
+    assert assert_matches_oracle(mats) == set(WEYL_WORDS)
 
 
 def test_membership_yes_on_generated_products():
