@@ -28,7 +28,7 @@ from .field import (
     pth_root,
     render_element,
 )
-from .pbasis import is_p_independent, lambda_ambient, lambda_coords, reconstruct
+from .pbasis import is_p_independent, lambda_coords, reconstruct
 from .presets import Bundle, preset, preset_names, write_preset
 from .rank1 import (
     Mat2,
@@ -132,7 +132,6 @@ __all__ = [
     "g2_recover",
     "gen",
     "is_p_independent",
-    "lambda_ambient",
     "lambda_coords",
     "make_c2_oracle",
     "make_g2_oracle",

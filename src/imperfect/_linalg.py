@@ -1,10 +1,11 @@
-"""Tiny exact linear algebra over a field of RatFunc-like elements.
+"""Tiny exact linear algebra over a field of rational functions.
 
-Matrices are lists of rows of RatFuncs. Systems here are small (at most a
-few dozen rows/columns). Each row is cleared of denominators, and the rows
-are eliminated by one fraction-free Gauss-Jordan (Bareiss) to d * RREF, d a
-minor. rank counts its pivots. A kernel first divides each row by the gcd
-of its entries, and divides by d once at the end. A span that answers many
+Matrices are lists of rows of SparsePolys, which a caller with fractions
+clears first; RatFuncs appear only in the answers. Systems here are small
+(at most a few dozen rows/columns). The rows are eliminated by one
+fraction-free Gauss-Jordan (Bareiss) to d * RREF, d a minor; a rank is the
+number of pivots. A kernel first divides each row by the gcd of its
+entries, and divides by d once at the end. A span that answers many
 queries is eliminated once, in ColumnSpace.
 """
 
@@ -88,19 +89,18 @@ def _rescale(row: list, num, den) -> list:
     return [a if a.is_zero() else exact_div(a * num, den) for a in row]
 
 
-def rank(rows: List[list]) -> int:
-    """Rank: the number of pivots of the rows cleared of denominators."""
+def pivots(rows: List[list]) -> List[int]:
+    """Pivot columns of polynomial rows: each column outside the span of those before it."""
     if not rows or not rows[0]:
-        return 0
-    field = rows[0][0].ctx
-    mat = [_clear_denominators(field, row)[1] for row in rows]
-    return len(_gauss_jordan(mat, len(mat[0]), field.const_poly(1))[1])
+        return []
+    return _gauss_jordan(rows, len(rows[0]), rows[0][0].ctx.const_poly(1))[1]
 
 
 def nullspace(rows: List[list], ncols: int, field) -> List[list]:
-    """Basis of the right kernel of a matrix with `ncols` columns; read off
-    the reduced echelon form, it depends only on the kernel."""
-    mat = [_primitive(field, row) for row in rows]
+    """Basis of the right kernel of polynomial rows with `ncols` columns, as
+    RatFunc vectors; read off the reduced echelon form, it depends only on
+    the kernel."""
+    mat = [_primitive(row) for row in rows]
     red, pivots, d = _gauss_jordan(mat, ncols, field.const_poly(1))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -116,29 +116,28 @@ def nullspace(rows: List[list], ncols: int, field) -> List[list]:
 class ColumnSpace:
     """The span of a fixed list of columns, eliminated once and queried often.
 
-    The constructor scales each column c_i by the lcm L_i of its denominators
-    and eliminates the rows [L_i * c_i | L_i * e_i] once, to d * [R | E]: R is
-    the reduced echelon form of columns^T with pivot columns P, d its pivot
-    minor, and E * columns^T = R, the scaling being undone by E. For a vector b
-    of the column length:
+    Each column is a pair (numerators, den), the polynomial vector
+    numerators / den, as `solve` takes its queries. The constructor
+    eliminates the rows [numerators_i | den_i * e_i] once, to d * [R | E]: R
+    is the reduced echelon form of columns^T with pivot columns P, d its
+    pivot minor, and E * columns^T = R, the scaling being undone by E. For a
+    polynomial vector b of the column length:
       - b lies in the span iff b = sum_i b[P_i] * R_i, which only needs
         checking off the pivots: the forms d * b[j] - sum_i d * R_i[j] * b[P_i]
         for the non-pivot coordinates j, whose values `residuals` returns;
       - x = E^T * b[P] solves columns @ x = b, and d * x has polynomial rows.
-    So a query on a polynomial b (see pbasis.lambda_numerators) runs no gcd
-    until the one division by d per solution entry. `ok` records whether the
-    columns are linearly independent, in which case that solution is the
-    unique one. Entries are RatFuncs over the context `field`.
+    So a query runs no gcd until the one division by d per solution entry,
+    and scaling b by a nonzero polynomial changes no membership answer (see
+    pbasis.lambda_numerators). `ok` records whether the columns are linearly
+    independent, in which case that solution is the unique one.
     """
 
-    def __init__(self, columns: Sequence[list], field):
+    def __init__(self, columns: Sequence[Tuple[list, object]], field):
         w = len(columns)
-        n = len(columns[0]) if columns else 0
+        n = len(columns[0][0]) if columns else 0
         zero = field.const_poly(0)
-        aug = []
-        for i, col in enumerate(columns):
-            lcm, row = _clear_denominators(field, col)
-            aug.append(row + [lcm if j == i else zero for j in range(w)])
+        aug = [list(nums) + [den if j == i else zero for j in range(w)]
+               for i, (nums, den) in enumerate(columns)]
         red, pivots, d = _gauss_jordan(aug, n, field.const_poly(1))
         self.ok = len(pivots) == w
         self._field = field
@@ -147,13 +146,11 @@ class ColumnSpace:
         self._checks = []
         for j in range(n):
             if j not in pivots:
-                terms = [(c, _as_ratfunc(field, -row[j])) for c, row in zip(pivots, red)
-                         if not row[j].is_zero()]
-                terms.append((j, _as_ratfunc(field, d)))
+                terms = [(c, -row[j]) for c, row in zip(pivots, red) if not row[j].is_zero()]
+                terms.append((j, d))
                 self._checks.append(terms)
         self._solution = [
-            [(c, _as_ratfunc(field, row[n + k])) for c, row in zip(pivots, red)
-             if not row[n + k].is_zero()]
+            [(c, row[n + k]) for c, row in zip(pivots, red) if not row[n + k].is_zero()]
             for k in range(w)
         ]
 
@@ -161,48 +158,30 @@ class ColumnSpace:
         """Values at b of linear forms whose common zeros are exactly the span."""
         if self._empty:  # the span of no columns is {0}
             return iter(b)
-        zero = self._field.zero()
+        zero = self._field.const_poly(0)
         return (_dot(terms, b, zero) for terms in self._checks)
 
     def contains(self, b: Sequence) -> bool:
-        return not any(self.residuals(b))
+        return all(r.is_zero() for r in self.residuals(b))
 
     def solve(self, b: Sequence, den) -> Optional[list]:
-        """Coefficients expressing b / den in the columns, or None when outside.
+        """Coefficients expressing b / den in the columns, as RatFuncs, or None when outside.
 
         `den` is the nonzero polynomial that the queried vector was scaled by.
         """
         if not self.contains(b):
             return None
         den = self._d * den
-        out = []
-        for terms in self._solution:
-            acc = _dot(terms, b, self._field.zero())
-            out.append(acc if den.is_one() or not acc else
-                       RatFunc(self._field, acc.num, acc.den * den))
-        return out
+        zero = self._field.const_poly(0)
+        return [RatFunc(self._field, _dot(terms, b, zero), den) for terms in self._solution]
 
 
-def _as_ratfunc(field, f):
-    return RatFunc(field, f, field.const_poly(1), reduce=False)
-
-
-def _clear_denominators(field, row):
-    """The lcm L of the row's denominators, and the row times L: polynomials."""
-    lcm = field.const_poly(1)
-    for x in row:
-        if x and not x.den.is_one():
-            lcm = lcm * exact_div(x.den, poly_gcd(lcm, x.den))
-    return lcm, [x.num if lcm.is_one() else x.num * exact_div(lcm, x.den) for x in row]
-
-
-def _primitive(field, row):
-    """The row cleared of denominators and divided by the gcd of its entries.
+def _primitive(row):
+    """The row divided by the gcd of its entries.
 
     Scaling a row does not change the kernel, and a common factor left in
     would be carried into every minor of the elimination.
     """
-    row = _clear_denominators(field, row)[1]
     g = None
     for x in row:
         if not x.is_zero():
@@ -214,6 +193,6 @@ def _primitive(field, row):
 
 def _dot(terms, b, acc):
     for k, c in terms:
-        if b[k]:
+        if not b[k].is_zero():
             acc = acc + c * b[k]
     return acc

@@ -71,9 +71,14 @@ def _undefined(ctx: Context, length: int) -> LambdaCoords:
     return LambdaCoords(tuple([ctx.zero()] * length), False)
 
 
-def lambda_numerators(b: RatFunc) -> List[RatFunc]:
-    """lambda_ambient(b) scaled by b.den: polynomial entries, made without any gcd.
+def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
+    """Coordinates of b relative to the ambient variable p-basis (x_1, ..., x_n),
+    scaled by b.den: polynomials, made without any linear algebra or gcd.
 
+    Write b = N / den^p with N = num * den^(p-1), split the terms of N by the
+    residues of their exponent vectors mod p, and divide exponents by p; F_p
+    coefficients are fixed by the p-th power map. Coordinate i is then the
+    i-th polynomial over den, for any num / den equal to b, reduced or not.
     The scaling changes no answer about membership in a K-span.
     """
     ctx = b.ctx
@@ -86,24 +91,8 @@ def lambda_numerators(b: RatFunc) -> List[RatFunc]:
         residue = tuple([v % p for v in ctx.unpack(e)])
         # every exponent of N / x^residue is a multiple of p
         buckets.setdefault(residue, {})[(e - ctx.pack(residue)) // p] = c
-    one = ctx.const_poly(1)
-    return [
-        RatFunc(ctx, SparsePoly(ctx, buckets.get(monomial_exponents(p, ctx.n, i), {})), one,
-                reduce=False)
-        for i in range(p ** ctx.n)
-    ]
-
-
-def lambda_ambient(b: RatFunc) -> List[RatFunc]:
-    """Coordinates of b relative to the ambient variable p-basis (x_1, ..., x_n).
-
-    Write b = N / den^p with N = num * den^(p-1), split the terms of N by the
-    residues of their exponent vectors mod p, divide exponents by p, and put
-    the denominator back. No linear algebra is needed; F_p coefficients are
-    fixed by the p-th power map.
-    """
-    ctx = b.ctx
-    return [RatFunc(ctx, c.num, b.den) if c else ctx.zero() for c in lambda_numerators(b)]
+    return [SparsePoly(ctx, buckets.get(monomial_exponents(p, ctx.n, i), {}))
+            for i in range(p ** ctx.n)]
 
 
 def _partial(f: SparsePoly, k: int) -> SparsePoly:
@@ -119,21 +108,20 @@ def _partial(f: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly(ctx, out)
 
 
-def differential(b: RatFunc) -> List[RatFunc]:
-    """(db/dx_1, ..., db/dx_n) scaled by b.den^2: polynomial entries, made without any gcd.
+def differential(b: RatFunc) -> List[SparsePoly]:
+    """(db/dx_1, ..., db/dx_n) scaled by b.den^2: polynomials, made without any gcd.
 
     By the quotient rule den^2 * d(num/den) = d(num) * den - num * d(den).
     The scaling changes no answer about independence or membership in a K-span.
     """
     ctx = b.ctx
     num, den = b.num, b.den
-    one = ctx.const_poly(1)
     out = []
     for k in range(ctx.n):
         d = _partial(num, k)
         if not den.is_one():
             d = d * den - num * _partial(den, k)
-        out.append(RatFunc(ctx, d, one, reduce=False))
+        out.append(d)
     return out
 
 
@@ -148,10 +136,12 @@ def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = Non
     if m > ctx.n or any(x.is_zero() for x in a):
         return _undefined(ctx, size)
     # the Jacobian criterion decides definedness before the p^m system is built
-    span = _linalg.ColumnSpace([differential(x) for x in a], ctx)
+    one = ctx.const_poly(1)
+    span = _linalg.ColumnSpace([(differential(x), one) for x in a], ctx)
     if not span.ok or not span.contains(differential(b)):
         return _undefined(ctx, size)
-    space = _linalg.ColumnSpace([lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)], ctx)
+    monomials = [p_monomial(ctx, i, a) for i in range(size)]
+    space = _linalg.ColumnSpace([(lambda_numerators(m), m.den) for m in monomials], ctx)
     sol = space.solve(lambda_numerators(b), b.den)
     if sol is None:
         raise FieldError("the differential criterion and the coordinate system disagree")
@@ -191,4 +181,4 @@ def is_p_independent(
     rows = list(over_gens) + list(c)
     if len(rows) > ctx.n:
         return False
-    return _linalg.rank([differential(x) for x in rows]) == len(rows)
+    return len(_linalg.pivots([differential(x) for x in rows])) == len(rows)

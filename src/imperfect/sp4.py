@@ -197,7 +197,7 @@ def u_to_mat(u: UElement) -> Mat4:
     return Mat4(ctx, [[o, t, c + a * t, b + c * t], [z, o, a, c], [z, z, o, t], [z, z, z, o]])
 
 
-def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
+def mat_to_u(m: Mat4) -> UElement:
     """Coordinates of an upper unipotent symplectic matrix.
 
     x1(t) x2(b) x3(c) x4(a) multiplies out to
@@ -207,9 +207,6 @@ def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
     r[0][3] for every b, so (2, 3) and (0, 2) are the only entries left to
     test, and a mismatch there means the input was not in the image.
     """
-    ctx = m.ctx
-    if datum is None:
-        datum = full_datum(ctx)
     r = m.rows
     for i in range(4):
         if not r[i][i].is_one():
@@ -223,7 +220,7 @@ def mat_to_u(m: Mat4, datum: Optional[RootDatum2] = None) -> UElement:
     b = r[0][3] + c * t
     if r[2][3] != t or r[0][2] != c + a * t:
         raise SpecError("matrix is not in the positive unipotent subgroup")
-    return UElement(datum, (t, b, c, a))
+    return UElement(full_datum(m.ctx), (t, b, c, a))
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +513,23 @@ def build_group_from_M(m: StructureData) -> Sp4Context:
     return Sp4Context(m.spec, torus, fields)
 
 
-def perfectness_witness_sp4(slot: int, s: RatFunc, spec: IndifferentSpec,
-                            c: Optional[RatFunc] = None) -> Tuple[Tuple[RatFunc, RatFunc], RatFunc]:
+def perfectness_witness_sp4(slot: int, s: RatFunc,
+                            spec: IndifferentSpec) -> Tuple[Tuple[RatFunc, RatFunc], RatFunc]:
     """Torus coordinates h and s' with [h, x_slot(s')] = x_slot(s).
 
-    Slots 1, 2, 4 use the short-root torus with factor c^2 or c^-2, so the
-    rescaling 1 + f^-1 is a square and preserves both coordinate domains;
-    slot 3 uses the long-root torus with c from the field over which K0 is
-    presented, which multiplies K0 onto itself.
+    Slots 1, 2, 4 use the short-root torus with c the first variable and
+    factor c^2 or c^-2, so the rescaling 1 + f^-1 is a square and preserves
+    both coordinate domains; slot 3 uses the long-root torus with c the first
+    generator of the field over which K0 is presented (the square of the
+    first variable when there is none), which multiplies K0 onto itself.
     """
     ctx = spec.ctx
     datum = full_datum(ctx)
     if slot == 3:
-        if c is None:
-            c = spec.E0.gens[0] if spec.E0.gens else ctx.gens()[0] * ctx.gens()[0]
+        c = spec.E0.gens[0] if spec.E0.gens else ctx.gens()[0] * ctx.gens()[0]
         h = (ctx.one(), c)
     else:
-        if c is None:
-            c = ctx.gens()[0]
-        h = (c, ctx.one())
+        h = (ctx.gens()[0], ctx.one())
     e1, e2 = datum.exponents[slot]
     f = h[0] ** e1 * h[1] ** e2
     if f.is_one():

@@ -22,12 +22,11 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
-from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, render_element
+from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, prod, render_element
 from .pbasis import (
     LambdaCoords,
     differential,
     is_p_independent,
-    lambda_ambient,
     lambda_coords,
     lambda_numerators,
     p_monomial,
@@ -69,7 +68,8 @@ class SubfieldSpec:
         if len(self.gens) > ctx.n:
             raise SpecError("generators are not p-independent", name)
         # one elimination both validates the generators and answers every query
-        self._space = _linalg.ColumnSpace([differential(g) for g in self.gens], ctx)
+        one = ctx.const_poly(1)
+        self._space = _linalg.ColumnSpace([(differential(g), one) for g in self.gens], ctx)
         if not self._space.ok:
             raise SpecError("generators are not p-independent", name)
 
@@ -120,11 +120,8 @@ class RSpaceSpec:
         w = over.dim_over_p
         if len(self.basis) * w > self.ctx.p ** self.ctx.n:
             raise SpecError("basis is not linearly independent over the scalar field", name)
-        columns = [
-            lambda_ambient(p_monomial(self.ctx, l, over.gens) * b)
-            for b in self.basis
-            for l in range(w)
-        ]
+        products = [p_monomial(self.ctx, l, over.gens) * b for b in self.basis for l in range(w)]
+        columns = [(lambda_numerators(x), x.den) for x in products]
         # one elimination validates the basis, answers every query and gives
         # the equations that the stabilizer is computed from
         self._space = _linalg.ColumnSpace(columns, self.ctx)
@@ -227,29 +224,32 @@ def _stabilizer_vectors(R: RSpaceSpec) -> List[List[RatFunc]]:
     a * b lies in R for each basis element b, that is iff each of R's
     membership equations vanishes on that sum. So the unknowns are the p^n
     coordinates a_r, with one row per basis element and equation.
+
+    Each x^r * b is taken as x^r * b.num over b.den, unreduced, so that every
+    row for b is scaled by the one factor b.den, which changes no kernel. A
+    reduced x^r * b would scale each unknown's column by its own factor.
     """
     ctx = R.ctx
     size = ctx.p ** ctx.n
     xs = ctx.gens()
-    monomials = [p_monomial(ctx, r, xs) for r in range(size)]
-    rows: List[List[RatFunc]] = []
+    monomials = [p_monomial(ctx, r, xs).num for r in range(size)]
+    rows = []
     for b in R.basis:
-        values = [list(R._space.residuals(lambda_ambient(m * b))) for m in monomials]
+        products = [RatFunc(ctx, m * b.num, b.den, reduce=False) for m in monomials]
+        values = [list(R._space.residuals(lambda_numerators(x))) for x in products]
         rows += [list(row) for row in zip(*values)]
     return _linalg.nullspace(rows, size, ctx)
 
 
-def _greedy_gens(candidates: Sequence[RatFunc], ctx: Context) -> List[RatFunc]:
+def _greedy_gens(candidates: Sequence[RatFunc]) -> List[RatFunc]:
     """A p-basis of K^p[candidates]: each candidate in turn that is
-    p-independent over the ones kept before it."""
-    gens: List[RatFunc] = []
-    for a in candidates:
-        if is_p_independent([a], over_gens=gens, ctx=ctx):
-            gens.append(a)
-    return gens
+    p-independent over the ones before it, that is, whose differential is a
+    pivot column of the matrix with the candidates' differentials as columns."""
+    rows = [list(row) for row in zip(*[differential(a) for a in candidates])]
+    return [candidates[c] for c in _linalg.pivots(rows)]
 
 
-def stabilizer_field(R: RSpaceSpec, name: Optional[str] = None) -> SubfieldSpec:
+def stabilizer_field(R: RSpaceSpec) -> SubfieldSpec:
     """Generators for the multiplicative stabilizer {a : a*R <= R}, always a field;
     they depend only on the stabilizer, not on the order of R's basis."""
     ctx = R.ctx
@@ -268,7 +268,7 @@ def stabilizer_field(R: RSpaceSpec, name: Optional[str] = None) -> SubfieldSpec:
             a = RatFunc(ctx, num, ctx.const_poly(1))
         elements.append(a)
     elements.sort(key=lambda a: (a.num.total_degree(), render_element(a)))
-    got = SubfieldSpec(name or f"stab({R.name})", _greedy_gens(elements, ctx), ctx)
+    got = SubfieldSpec(f"stab({R.name})", _greedy_gens(elements), ctx)
     if len(vecs) != got.dim_over_p:
         raise InvariantViolation(
             f"stabilizer of {R.name} is not a field presentation: "
@@ -315,9 +315,15 @@ def _sample_independent_subset(
                 for _ in R.basis
             ]
         )
-    if _linalg.rank([one_row] + coordvecs) != k + 1:
+    if len(_linalg.pivots([_cleared(row) for row in [one_row] + coordvecs])) != k + 1:
         return None
     return [R.evaluate(cv) for cv in coordvecs]
+
+
+def _cleared(row: Sequence[RatFunc]) -> list:
+    """The row times the product of its distinct denominators: polynomials, of the same rank."""
+    dens = {x.den for x in row}
+    return [x.num * prod(dens - {x.den}, row[0].ctx.const_poly(1)) for x in row]
 
 
 def validate_tower(
@@ -402,7 +408,7 @@ class DerivedFields:
 
     fields: List[SubfieldSpec]
     tilde: SubfieldSpec
-    tilde_is_relabeled: bool = True
+    tilde_is_relabeled = True
 
     def __iter__(self):
         return iter(self.fields)
@@ -527,7 +533,7 @@ def validate_indifferent(spec: IndifferentSpec) -> ValidationReport:
     )
 
     if not spec.weak:
-        gens = _greedy_gens(spec.E0.gens + spec.K0.basis, ctx)
+        gens = _greedy_gens(spec.E0.gens + spec.K0.basis)
         report.add(
             "K0-generates-K",
             len(gens) == ctx.n,

@@ -3,7 +3,9 @@
 `old_is_p_independent` and `columns_independent` below are the column-rank
 test the package used before p-independence was decided by differentials,
 and `lambda_space` is the span of the p-monomial columns that SubfieldSpec
-eliminated. They stay here as the differential oracles.
+eliminated. `old_greedy_gens` is the greedy p-basis as one independence
+test per candidate, before it was read off the pivots of one elimination.
+They stay here as the differential oracles.
 """
 
 import random
@@ -12,17 +14,16 @@ import pytest
 
 from imperfect import _linalg
 from imperfect._linalg import ColumnSpace
-from imperfect.field import Context, RatFunc, frobenius
+from imperfect.field import Context, RatFunc, SparsePoly, frobenius
 from imperfect.pbasis import (
     LambdaCoords,
     differential,
     is_p_independent,
-    lambda_ambient,
     lambda_coords,
     lambda_numerators,
     p_monomial,
 )
-from imperfect.tower import SpecError, SubfieldSpec
+from imperfect.tower import SpecError, SubfieldSpec, _greedy_gens
 
 NAMES = ("s", "t", "v")
 CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
@@ -31,10 +32,11 @@ MAX_COLUMNS = 27
 
 
 def columns_independent(columns):
+    """Whether polynomial columns are linearly independent."""
     if not columns:
         return True
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return _linalg.rank(rows) == len(columns)
+    return len(_linalg.pivots(rows)) == len(columns)
 
 
 def old_is_p_independent(c, over_gens, ctx):
@@ -48,15 +50,15 @@ def old_is_p_independent(c, over_gens, ctx):
     for l in range(p ** len(over_gens)):
         ml = p_monomial(ctx, l, over_gens)
         for i in range(p ** len(c)):
-            columns.append(lambda_ambient(ml * p_monomial(ctx, i, c)))
+            # the ambient coordinates scaled by the element's denominator
+            columns.append(lambda_numerators(ml * p_monomial(ctx, i, c)))
     return columns_independent(columns)
 
 
 def lambda_space(gens, ctx):
     """K^p[gens] as the span of the ambient coordinates of its p-monomials."""
-    return ColumnSpace(
-        [lambda_ambient(p_monomial(ctx, l, gens)) for l in range(ctx.p ** len(gens))], ctx
-    )
+    monomials = [p_monomial(ctx, l, gens) for l in range(ctx.p ** len(gens))]
+    return ColumnSpace([(lambda_numerators(m), m.den) for m in monomials], ctx)
 
 
 def small(rng, ctx, nonzero=False):
@@ -107,7 +109,7 @@ def split_sizes(ctx):
 def derivative(x):
     """d(x) as RatFuncs: differential(x) divided by x.den^2 again."""
     den2 = x.den * x.den
-    return [RatFunc(x.ctx, e.num, den2) for e in differential(x)]
+    return [RatFunc(x.ctx, e, den2) for e in differential(x)]
 
 
 @pytest.mark.parametrize("p,n", CASES)
@@ -126,7 +128,7 @@ def test_differential_is_the_derivation(p, n):
         x = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
         x = x / (ctx.gens()[-1] + frobenius(small(rng, ctx)))
         y = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
-        assert all(e.den.is_one() for e in differential(x))
+        assert all(isinstance(e, SparsePoly) for e in differential(x))
         dx, dy = derivative(x), derivative(y)
         assert derivative(x + y) == [a + b for a, b in zip(dx, dy)]
         assert derivative(x * y) == [x * b + y * a for a, b in zip(dx, dy)]
@@ -236,3 +238,29 @@ def test_lambda_coords_defined_matches_lambda_columns(p, n):
                     assert got.coords == (ctx.zero(),) * p ** k
                 seen.add(defined)
     assert seen == {True, False}
+
+
+def old_greedy_gens(candidates, ctx):
+    """The greedy p-basis as `_greedy_gens` found it before it read the
+    pivots of one elimination: one independence test per candidate."""
+    gens = []
+    for a in candidates:
+        if is_p_independent([a], over_gens=gens, ctx=ctx):
+            gens.append(a)
+    return gens
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_greedy_gens_are_the_pivots_of_one_elimination(p, n):
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(53 * p + n)
+    sizes = set()
+    for size in range(2 * n + 3):
+        for _ in range(2):
+            candidates = tuple(rand_tuple(rng, ctx, size))
+            if size > 2 and rng.random() < 0.5:
+                candidates += (ctx.zero(), ctx.one())
+            got = _greedy_gens(candidates)
+            assert got == old_greedy_gens(candidates, ctx), candidates
+            sizes.add(len(got))
+    assert sizes == set(range(n + 1))

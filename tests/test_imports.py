@@ -1,9 +1,16 @@
-"""No module of the package keeps a module-level import that it never uses.
+"""No module of the package keeps a module-level import that it never uses,
+and no private module-level name is left that the package never reads.
 
 Each module under src/imperfect (the package's __init__ re-exports by
 design and is skipped) is parsed with ast. A name bound by an import
 statement at module level counts as used when it appears anywhere else in
 the module as a name, including annotations and string annotations.
+
+A private name (one leading underscore) that a module defines at module
+level, by def, class or assignment, counts as referenced when any module of
+the package, __init__ included, reads it: as a name, as an attribute, or
+in a from-import. Tests do not count, so a helper that only tests call
+belongs in the tests.
 """
 
 import ast
@@ -13,6 +20,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "imperfect"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree):
@@ -60,3 +68,48 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import re\nfrom typing import List, Tuple\nx: List[int] = []\n")
     names = {name for name, _ in imported_names(tree)} - used_names(tree)
     assert names == {"re", "Tuple"}
+
+
+def private_definitions(tree):
+    """(name, line) for every private name defined at module level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(n, node.lineno) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def referenced_names(tree):
+    """Names read anywhere in the module: loaded names, attributes, from-imports."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_private_name_goes_unreferenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    refs = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unreferenced = [f"{name} ({module}:{line})" for module, tree in trees.items()
+                    for name, line in private_definitions(tree) if name not in refs]
+    assert not unreferenced, f"never referenced in src: {', '.join(unreferenced)}"
+
+
+def test_the_scan_sees_an_unreferenced_private_name():
+    tree = ast.parse("import m\n_A = 1\n_B: int = 2\n__all__ = []\n"
+                     "def _f():\n    return _A + m._g()\n"
+                     "class _C:\n    pass\nx = _C\n")
+    names = {name for name, _ in private_definitions(tree)} - referenced_names(tree)
+    assert names == {"_B", "_f"}

@@ -1,9 +1,10 @@
-"""ColumnSpace, nullspace and rank against fraction-reducing elimination.
+"""ColumnSpace, nullspace and pivots against fraction-reducing elimination.
 
 `_rref` below is the Gauss-Jordan elimination with a gcd in every entry
 operation that the package used before its eliminations went fraction-free,
 and `in_column_space` the per-query elimination that it used before
-ColumnSpace; both stay here as differential oracles.
+ColumnSpace; both stay here as differential oracles. They work on RatFunc
+vectors, which each test clears (oracles.cleared) before it calls `_linalg`.
 """
 
 import random
@@ -14,8 +15,9 @@ import pytest
 from imperfect import _linalg
 from imperfect._linalg import ColumnSpace
 from imperfect.field import Context, frobenius
-from imperfect.pbasis import LambdaCoords, lambda_ambient, lambda_coords, p_monomial, reconstruct
+from imperfect.pbasis import LambdaCoords, lambda_coords, p_monomial, reconstruct
 from imperfect.tower import RSpaceSpec, SpecError, SubfieldSpec
+from oracles import cleared, lambda_ambient, rank
 
 NAMES = ("s", "t", "v")
 CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
@@ -110,8 +112,9 @@ def rand_coeffs(rng, ctx, w):
 
 def check_against_oracle(space, columns, b, ctx):
     want = in_column_space(columns, b, ctx)
-    assert space.contains(b) == (want is not None)
-    got = space.solve(b, ctx.const_poly(1))
+    nums, den = cleared(b)
+    assert space.contains(nums) == (want is not None)
+    got = space.solve(nums, den)
     assert (got is None) == (want is None)
     if got is None:
         return None
@@ -132,8 +135,8 @@ def test_column_space_matches_fresh_elimination(p, n):
         if trial % 2:
             # a combination of the others makes the set dependent
             columns.append(combine(columns, rand_coeffs(rng, ctx, w), ctx))
-        space = ColumnSpace(columns, ctx)
-        assert space.ok == (_linalg.rank([list(r) for r in zip(*columns)]) == len(columns))
+        space = ColumnSpace([cleared(c) for c in columns], ctx)
+        assert space.ok == (rank([list(r) for r in zip(*columns)]) == len(columns))
         seen["independent" if space.ok else "dependent"] += 1
         for _ in range(4):
             member = combine(columns, rand_coeffs(rng, ctx, len(columns)), ctx)
@@ -156,16 +159,16 @@ def test_residuals_cut_out_the_span(p, n):
         # for p^n <= 3 the last trial spans everything: there are no forms
         w = size if trial == 3 and size <= 3 else rng.randint(1, min(3, size - 1))
         columns = [rand_vector(rng, ctx) for _ in range(w)]
-        space = ColumnSpace(columns, ctx)
+        space = ColumnSpace([cleared(c) for c in columns], ctx)
         if not space.ok:
             continue
-        units = [[ctx.one() if k == j else ctx.zero() for k in range(size)] for j in range(size)]
+        units = [[ctx.const_poly(int(k == j)) for k in range(size)] for j in range(size)]
         forms = [list(row) for row in zip(*[list(space.residuals(e)) for e in units])]
         assert len(forms) == size - w
         kernel = _linalg.nullspace(forms, size, ctx)
         assert _rref(kernel)[0] == _rref(columns)[0]
         member = combine(columns, rand_coeffs(rng, ctx, w), ctx)
-        assert not any(space.residuals(member))
+        assert all(r.is_zero() for r in space.residuals(cleared(member)[0]))
         checked += 1
     assert checked >= 3
 
@@ -213,7 +216,7 @@ def test_nullspace_matches_the_reduced_echelon_form(p, n):
             seen.add("no rows")
         if any(not x.den.is_one() for row in rows for x in row):
             seen.add("denominators")
-        got = _linalg.nullspace(rows, width, ctx)
+        got = _linalg.nullspace([cleared(row)[0] for row in rows], width, ctx)
         assert got == rref_nullspace(rows, width, ctx)
         for v in got:
             assert all(not sum((a * x for a, x in zip(row, v)), ctx.zero()) for row in rows)
@@ -229,15 +232,16 @@ def test_nullspace_divides_each_row_by_its_content():
     one = ctx.one()
     f = s * s + t + one
     rows = [[f * s, f * t / (s + one), ctx.zero()], [t, s, one]]
-    assert _linalg._primitive(ctx, rows[0]) == [(s * (s + one)).num, t.num, ctx.const_poly(0)]
-    assert _linalg._primitive(ctx, rows[1]) == [t.num, s.num, ctx.const_poly(1)]
-    assert _linalg.nullspace(rows, 3, ctx) == rref_nullspace(rows, 3, ctx)
+    polys = [cleared(row)[0] for row in rows]
+    assert _linalg._primitive(polys[0]) == [(s * (s + one)).num, t.num, ctx.const_poly(0)]
+    assert _linalg._primitive(polys[1]) == [t.num, s.num, ctx.const_poly(1)]
+    assert _linalg.nullspace(polys, 3, ctx) == rref_nullspace(rows, 3, ctx)
 
 
 @pytest.mark.parametrize("p,n", CASES)
 def test_rank_with_denominators_matches_rref(p, n):
-    """rank clears row denominators and counts the pivots of the fraction-free
-    elimination; the oracle reduces fractions."""
+    """The pivots of the rows cleared of denominators, whose number is the
+    rank, are the oracle's, which reduces fractions."""
     ctx = Context(p, NAMES[:n])
     rng = random.Random(300 * p + n)
     ranks = set()
@@ -255,9 +259,9 @@ def test_rank_with_denominators_matches_rref(p, n):
         if trial % 3 == 0:
             rows.append([ctx.zero()] * width)
         fractions += any(not x.den.is_one() for row in rows for x in row)
-        got = _linalg.rank(rows)
-        assert got == len(_rref(rows)[1])
-        ranks.add(got == min(len(rows), width))
+        got = _linalg.pivots([cleared(row)[0] for row in rows])
+        assert got == _rref(rows)[1]
+        ranks.add(len(got) == min(len(rows), width))
     assert ranks == {True, False}  # both full and deficient rank were seen
     assert fractions >= 8
 
@@ -267,34 +271,38 @@ def test_column_space_entries_with_denominators():
     s, v = ctx.gens()
     one = ctx.one()
     columns = [[one / (s + one), s, ctx.zero()], [v, one / (v * v), s / v]]
-    space = ColumnSpace(columns, ctx)
+    space = ColumnSpace([cleared(c) for c in columns], ctx)
     assert space.ok
     b = combine(columns, [s / (v + one), v * v], ctx)
-    assert space.solve(b, ctx.const_poly(1)) == [s / (v + one), v * v]
+    nums, den = cleared(b)
+    assert space.solve(nums, den) == [s / (v + one), v * v]
     # a scaled query gives the coordinates of the unscaled vector
-    assert space.solve([x * (s + one) for x in b], (s + one).num) == [s / (v + one), v * v]
-    assert not space.contains([one, ctx.zero(), ctx.zero()])
+    f = (s + one).num
+    assert space.solve([x * f for x in nums], den * f) == [s / (v + one), v * v]
+    assert not space.contains([ctx.const_poly(1), ctx.const_poly(0), ctx.const_poly(0)])
 
 
 def test_column_space_without_columns_is_zero():
     ctx = Context(2, ("t",))
+    zero, one = ctx.const_poly(0), ctx.const_poly(1)
     space = ColumnSpace([], ctx)
     assert space.ok
-    assert space.solve([ctx.zero(), ctx.zero()], ctx.const_poly(1)) == []
-    assert not space.contains([ctx.zero(), ctx.one()])
-    assert list(space.residuals([ctx.zero(), ctx.one()])) == [ctx.zero(), ctx.one()]
+    assert space.solve([zero, zero], one) == []
+    assert not space.contains([zero, one])
+    assert list(space.residuals([zero, one])) == [zero, one]
 
 
 def test_column_space_of_a_zero_column():
     """No pivot at all: d is 1, the span is {0} and the residuals are b itself."""
     ctx = Context(3, ("s", "v"))
     s, v = ctx.gens()
-    space = ColumnSpace([[ctx.zero()] * 3], ctx)
+    zero, one = ctx.const_poly(0), ctx.const_poly(1)
+    space = ColumnSpace([([zero] * 3, one)], ctx)
     assert not space.ok
-    b = [s, ctx.zero(), ctx.one() / (v + ctx.one())]
+    b = cleared([s, ctx.zero(), ctx.one() / (v + ctx.one())])[0]
     assert list(space.residuals(b)) == b
     assert not space.contains(b)
-    assert space.solve([ctx.zero()] * 3, ctx.const_poly(1)) == [ctx.zero()]
+    assert space.solve([zero] * 3, one) == [ctx.zero()]
 
 
 def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
@@ -322,17 +330,18 @@ def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
     for rows in matrices:
         transposed = [list(c) for c in zip(*rows)]
         for columns in (rows, transposed, rows[:3]):
-            space = ColumnSpace(columns, ctx)
-            assert space.ok == (_linalg.rank(columns) == len(columns))
+            space = ColumnSpace([cleared(c) for c in columns], ctx)
+            assert space.ok == (rank(columns) == len(columns))
             verdicts.add(space.ok)
             coeffs = rand_coeffs(pick, ctx, len(columns))
             member = combine(columns, coeffs, ctx)
-            assert space.contains(member)
+            nums, den = cleared(member)
+            assert space.contains(nums)
             if columns is transposed:
                 # the zero row leaves every column's last coordinate zero
-                assert not space.contains(member[:3] + [ctx.one()])
+                assert not space.contains(nums[:3] + [den])
                 continue
-            got = space.solve(member, ctx.const_poly(1))
+            got = space.solve(nums, den)
             assert combine(columns, got, ctx) == member
             if space.ok:
                 assert got == coeffs
@@ -417,7 +426,7 @@ def test_lambda_coords_matches_fresh_elimination(p, n):
         independent = len(a) <= n and not any(x.is_zero() for x in a)
         if independent:
             columns = [lambda_ambient(p_monomial(ctx, i, a)) for i in range(size)]
-            independent = _linalg.rank([list(r) for r in zip(*columns)]) == size
+            independent = rank([list(r) for r in zip(*columns)]) == size
         coeffs = [ctx.rand_ratfunc(rng, max_deg=1, max_terms=1, denominators=False)
                   for _ in range(size)]
         inside = reconstruct(a, coeffs, ctx) if independent else ctx.one()

@@ -5,12 +5,12 @@ import pytest
 from imperfect.field import Context, FieldError, frobenius
 from imperfect.pbasis import (
     is_p_independent,
-    lambda_ambient,
     lambda_coords,
     monomial_exponents,
     p_monomial,
     reconstruct,
 )
+from oracles import lambda_ambient
 
 
 CTX2 = Context(2, ("t", "u"))

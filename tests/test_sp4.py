@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from imperfect import _linalg
 from imperfect.field import Context, FieldError, poly_gcd
 from imperfect.presets import Bundle
 from imperfect.rank1 import Membership, TorusWitness, torus_membership
@@ -39,6 +38,7 @@ from imperfect.sp4 import (
 )
 from imperfect.tower import IndifferentSpec, InvariantViolation, SpecError
 from imperfect.unipotent import UElement, u_mult
+from oracles import rank
 
 
 CTX = Context(2, ("t", "u"))
@@ -150,7 +150,7 @@ def test_full_datum_is_shared_by_equal_contexts():
     one = CTX.one()
     assert full_datum(other).generator(1, other.one()) == full_datum(CTX).generator(1, one)
     m = u_to_mat(full_datum(CTX).generator(3, one))
-    assert mat_to_u(m) == mat_to_u(m, full_datum(other))
+    assert mat_to_u(m).datum is full_datum(other)
 
 
 def test_u_mat_roundtrip():
@@ -290,8 +290,8 @@ def full_rank_pivot_rows(g):
     both rank lists of every column ranked afresh."""
     perm = []
     for j in range(4):
-        prev = [_linalg.rank([list(g.rows[r][:j]) for r in range(i, 4)]) for i in range(4)]
-        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
+        prev = [rank([list(g.rows[r][:j]) for r in range(i, 4)]) for i in range(4)]
+        cur = [rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
         perm.append(max(i for i in range(4) if cur[i] > prev[i]))
     return tuple(perm)
 
@@ -310,7 +310,7 @@ def old_pivot_rows(g: Mat4):
     perm = []
     prev = [0] * 4
     for j in range(4):
-        cur = [_linalg.rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
+        cur = [rank([list(g.rows[r][: j + 1]) for r in range(i, 4)]) for i in range(4)]
         perm.append(max(i for i in range(4) if cur[i] > prev[i]))
         prev = cur
     return tuple(perm)
