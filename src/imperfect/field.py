@@ -51,6 +51,8 @@ _TOP = EXP_LIMIT << _DEG_SHIFT
 _GUARD = sum(EXP_LIMIT << s for s in _SHIFTS + (_DEG_SHIFT,))
 # the key of x_k
 _VAR = tuple((1 << s) | (1 << _DEG_SHIFT) for s in _SHIFTS)
+# the terms of the polynomial 1, compared against and never handed to a SparsePoly
+_ONE_TERMS = {0: 1}
 
 
 class Context:
@@ -193,8 +195,11 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
-        return self.terms == {0: 1}
+        return self.terms == _ONE_TERMS
 
     def is_constant(self) -> bool:
         return not any(self.terms)
@@ -236,7 +241,15 @@ class SparsePoly:
         return SparsePoly(self.ctx, {e: (-c) % p for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
+        p = self.ctx.p
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = (out.get(e, 0) - c) % p
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return SparsePoly(self.ctx, out)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         p = self.ctx.p
@@ -554,13 +567,13 @@ class RatFunc:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def is_poly(self) -> bool:
         return self.den.is_one()
@@ -571,11 +584,14 @@ class RatFunc:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise FieldError("mixed field contexts")
 
+    # __add__, __sub__ and __mul__ test the contexts inline, before any zero short-cut
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        if self.is_zero():
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise FieldError("mixed field contexts")
+        if not self.num.terms:
             return other
-        if other.is_zero():
+        if not other.num.terms:
             return self
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.ctx, self.num + other.num, self.den, reduce=False)
@@ -600,16 +616,23 @@ class RatFunc:
         return RatFunc(ctx, exact_div(t, g2), b1 * exact_div(d, g2), reduce=False)
 
     def __neg__(self) -> "RatFunc":
-        if self.ctx.p == 2:
+        if self.ctx.p == 2 or not self.num.terms:
             return self
         return RatFunc(self.ctx, -self.num, self.den, reduce=False)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise FieldError("mixed field contexts")
+        if not other.num.terms:
+            return self
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc(self.ctx, self.num - other.num, self.den, reduce=False)
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise FieldError("mixed field contexts")
+        if not self.num.terms or not other.num.terms:
             return self.ctx.zero()
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.ctx, self.num * other.num, self.den, reduce=False)

@@ -97,10 +97,24 @@ def form_matrix(ctx: Context) -> Mat4:
 
 
 def is_symplectic(g: Mat4) -> bool:
-    # entry (i, j) of g^T J is g[3-j][i]
+    """Whether g^T J g == J.
+
+    Entry (i, j) of g^T J g is the sum over k of g[k][i] * g[3-k][j]. In
+    characteristic 2 that matrix is symmetric with a zero diagonal for every
+    g, so its six entries above the diagonal decide the check.
+    """
     r = g.rows
-    gt_j = Mat4(g.ctx, [[r[3 - j][i] for j in range(4)] for i in range(4)])
-    return gt_j * g == form_matrix(g.ctx)
+    zero, one = g.ctx.zero(), g.ctx.one()
+    for i in range(3):
+        for j in range(i + 1, 4):
+            acc = zero
+            for k in range(4):
+                a, b = r[k][i], r[3 - k][j]
+                if a and b:
+                    acc = acc + a * b
+            if acc != (one if i + j == 3 else zero):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

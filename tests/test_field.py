@@ -79,6 +79,16 @@ def test_equal_contexts_mix_and_unequal_ones_do_not():
                 op(x, z)
             with pytest.raises(FieldError, match="mixed field contexts"):
                 op(z, x)
+        # zero and polynomial operands, which take the short-cuts of +, - and *
+        mine = (a.zero(), a.one(), x, a.parse("t^2+u"), a.parse("1/(t+1)"))
+        theirs = (other.zero(), other.one(), z, other.parse("t^2+1"), other.parse("1/(t+1)"))
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for m in mine:
+                for o in theirs:
+                    with pytest.raises(FieldError, match="mixed field contexts"):
+                        op(m, o)
+                    with pytest.raises(FieldError, match="mixed field contexts"):
+                        op(o, m)
 
 
 def test_gens_are_built_once_per_context():
@@ -378,6 +388,63 @@ def test_constant_numerators_match_full_reduction(ctx):
                 assert_ops_agree(x, z)
                 assert_ops_agree(z, x)
             assert_ops_agree(y, y)
+
+
+def sub_operands(ctx, rng):
+    """Zero, polynomial and fractional elements, each kind several times."""
+    out = [ctx.zero(), ctx.one(), ctx.scalar(ctx.p - 1)]
+    for _ in range(6):
+        out.append(ctx.rand_ratfunc(rng, nonzero=True, denominators=False))
+        x = ctx.rand_ratfunc(rng, nonzero=True)
+        while x.is_poly():
+            x = ctx.rand_ratfunc(rng, nonzero=True)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_direct_subtraction_matches_adding_the_negation(ctx):
+    rng = random.Random(400 + ctx.p * 10 + ctx.n)
+    polys = [ctx.const_poly(0), ctx.const_poly(1)]
+    polys += [ctx.rand_poly(rng) for _ in range(12)]
+    for f in polys:
+        for g in polys + [f.scale(2), f.scale(-1)]:
+            d = f - g
+            assert d == f + (-g), (f, g)
+            assert all(0 < c < ctx.p for c in d.terms.values())
+        assert (f - f).is_zero()
+    elems = sub_operands(ctx, rng)
+    for a in elems:
+        for b in elems + [a + ctx.one()]:
+            d = a - b
+            assert_canonical(d)
+            assert d == a + (-b), (a, b)
+        assert (a - a).is_zero() and (a - a).den.is_one()
+        assert -a == ctx.zero() - a
+        assert a - ctx.zero() is a
+
+
+def test_polynomial_subtraction_does_not_negate(monkeypatch):
+    def no_neg(self):
+        raise AssertionError("SparsePoly.__neg__ called")
+
+    for ctx in (CTX3, CTX5):
+        rng = random.Random(ctx.p)
+        pairs = [(ctx.rand_ratfunc(rng, denominators=False),
+                  ctx.rand_ratfunc(rng, denominators=False)) for _ in range(10)]
+        want = [a + (-b) for a, b in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(field.SparsePoly, "__neg__", no_neg)
+            assert [a - b for a, b in pairs] == want
+            assert all((a - a).is_zero() for a, _ in pairs)
+
+
+def test_zero_polynomials_are_falsy():
+    for ctx in (CTX2, CTX3, CTX5):
+        f = ctx.var(ctx.names[0]).num
+        assert not ctx.const_poly(0) and not ctx.poly({}) and not (f - f)
+        assert ctx.const_poly(1) and f
+        assert not ctx.zero() and ctx.one()
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)

@@ -190,6 +190,12 @@ def transpose(g):
     return Mat4(g.ctx, [[g.rows[j][i] for j in range(4)] for i in range(4)])
 
 
+def product_is_symplectic(g):
+    """The full product form of the check, the oracle for is_symplectic."""
+    j = form_matrix(g.ctx)
+    return transpose(g) * j * g == j
+
+
 def test_u_to_mat_matches_generator_product():
     # every zero pattern of the four slots, with coordinates that have denominators
     datum = full_datum(CTX)
@@ -233,8 +239,29 @@ def test_inverse_is_form_conjugate_transpose():
     for _ in range(10):
         g = Mat4(ctx, [[ctx.rand_ratfunc(rng, max_deg=1) for _ in range(4)] for _ in range(4)])
         assert g.inverse() == j * transpose(g) * j
-        assert is_symplectic(g) == (transpose(g) * j * g == j)
+        assert is_symplectic(g) == product_is_symplectic(g)
         assert not is_symplectic(g)
+
+
+def test_upper_entries_decide_symplecticity_like_the_full_product():
+    ctx = CTX
+    rng = random.Random(43)
+    words = [rand_plain_word(ctx, rng) for _ in range(12)]
+    words += [rand_word_matrix(line_spec(), rng, length=4, torus=True) for _ in range(8)]
+    words += [weyl_rep(w, ctx) for w in WEYL_WORDS]
+    broken = 0
+    for g in words:
+        assert is_symplectic(g) and product_is_symplectic(g)
+        for _ in range(3):
+            # one entry perturbed: usually no longer symplectic, but adding to
+            # entry (0, 3) of the identity gives a root element
+            i, k = rng.randrange(4), rng.randrange(4)
+            rows = [list(r) for r in g.rows]
+            rows[i][k] = rows[i][k] + ctx.rand_ratfunc(rng, max_deg=1, nonzero=True)
+            h = Mat4(ctx, rows)
+            assert is_symplectic(h) == product_is_symplectic(h), (g, i, k)
+            broken += not is_symplectic(h)
+    assert broken >= 2 * len(words)
 
 
 def _perm_of(m):
