@@ -252,9 +252,14 @@ class SparsePoly:
         return SparsePoly(self.ctx, out)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        p = self.ctx.p
         if not self.terms or not other.terms:
             return SparsePoly(self.ctx, {})
+        # SparsePolys are never written into, so a product by 1 is the other factor
+        if other.terms == _ONE_TERMS:
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
+        p = self.ctx.p
         if max(self.terms) + max(other.terms) >= _TOP:
             raise FieldError(f"a product reaches the exponent limit {EXP_LIMIT}")
         out = {}
@@ -584,7 +589,7 @@ class RatFunc:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise FieldError("mixed field contexts")
 
-    # __add__, __sub__ and __mul__ test the contexts inline, before any zero short-cut
+    # __add__, __sub__ and __mul__ test the contexts inline, before any zero or unit short-cut
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -634,6 +639,10 @@ class RatFunc:
             raise FieldError("mixed field contexts")
         if not self.num.terms or not other.num.terms:
             return self.ctx.zero()
+        if other.num.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return self
+        if self.num.terms == _ONE_TERMS and self.den.terms == _ONE_TERMS:
+            return other
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.ctx, self.num * other.num, self.den, reduce=False)
         # (a/b)(c/d): gcd(a, b) = gcd(c, d) = 1, so only a, d and c, b can share factors

@@ -1,6 +1,8 @@
 """Rank-one machinery: SL2 over an additive group L with K^2 <= L <= K.
 
-Matrices carry exact rational-function entries with determinant 1.
+Matrices carry exact rational-function entries with determinant 1. The
+constructor Mat2(...), and so Mat2.parse and the CLI, checks it; products,
+inverses, the identity and the generators are in SL2 by construction and skip it.
 Every element is put into Bruhat normal form (upper-triangular part
 h(tau)a(s), or big cell h(tau)a(s1)w a(s2)); multiplication of normal
 forms is expressed through a small structure interface (addition on L,
@@ -25,7 +27,8 @@ from .tower import RSpaceSpec, SpecError, SubfieldSpec
 
 
 class Mat2:
-    """2x2 matrix over the function field with determinant 1."""
+    """2x2 matrix over the function field with determinant 1, which the constructor
+    checks; _known builds a matrix that is in SL2 by construction without the check."""
 
     __slots__ = ("ctx", "a", "b", "c", "d")
 
@@ -49,8 +52,14 @@ class Mat2:
         if not det_one:
             raise FieldError("matrix is not in SL2: determinant != 1")
 
+    @classmethod
+    def _known(cls, ctx: Context, a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> "Mat2":
+        m = cls.__new__(cls)
+        m.ctx, m.a, m.b, m.c, m.d = ctx, a, b, c, d
+        return m
+
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return Mat2._known(
             self.ctx,
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -59,7 +68,7 @@ class Mat2:
         )
 
     def inverse(self) -> "Mat2":
-        return Mat2(self.ctx, self.d, -self.b, -self.c, self.a)
+        return Mat2._known(self.ctx, self.d, -self.b, -self.c, self.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
@@ -81,7 +90,7 @@ class Mat2:
 
     @staticmethod
     def identity(ctx: Context) -> "Mat2":
-        return Mat2(ctx, ctx.one(), ctx.zero(), ctx.zero(), ctx.one())
+        return Mat2._known(ctx, ctx.one(), ctx.zero(), ctx.zero(), ctx.one())
 
     @staticmethod
     def parse(text: str, ctx: Context) -> "Mat2":
@@ -95,19 +104,20 @@ class Mat2:
 
 
 def gen(kind: str, t: Optional[RatFunc], ctx: Context) -> Mat2:
-    """Standard generators: a(t), b(t), h(t) (t != 0), and w."""
+    """Standard generators: a(t), b(t), h(t) (t != 0), and w; t must lie in ctx."""
     one, zero = ctx.one(), ctx.zero()
-    if kind == "a":
-        return Mat2(ctx, one, t, zero, one)
-    if kind == "b":
-        return Mat2(ctx, one, zero, t, one)
-    if kind == "h":
-        if t is None or t.is_zero():
-            raise FieldError("h(t) needs t != 0")
-        return Mat2(ctx, t, zero, zero, t.inverse())
     if kind == "w":
-        return Mat2(ctx, zero, one, -one, zero)
-    raise SpecError(f"unknown generator kind {kind!r}")
+        return Mat2._known(ctx, zero, one, -one, zero)
+    if kind not in ("a", "b", "h"):
+        raise SpecError(f"unknown generator kind {kind!r}")
+    if kind == "h" and (t is None or t.is_zero()):
+        raise FieldError("h(t) needs t != 0")
+    one._check(t)
+    if kind == "a":
+        return Mat2._known(ctx, one, t, zero, one)
+    if kind == "b":
+        return Mat2._known(ctx, one, zero, t, one)
+    return Mat2._known(ctx, t, zero, zero, t.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,91 @@ def test_zero_polynomials_are_falsy():
         assert not ctx.zero() and ctx.one()
 
 
+def schoolbook_mul(f, g):
+    """The product loop that SparsePoly.__mul__ runs on every pair of factors
+    other than 0 and 1: the oracle for its short-cuts by 1."""
+    p = f.ctx.p
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = e1 + e2
+            s = (out.get(e, 0) + c1 * c2) % p
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return field.SparsePoly(f.ctx, out)
+
+
+def product_operands(ctx, rng):
+    """Zero, constant, monomial and multi-term polynomials."""
+    out = [ctx.const_poly(c) for c in range(ctx.p)]
+    for _ in range(4):
+        exps = tuple(rng.randint(0, 3) for _ in range(ctx.n))
+        out.append(ctx.poly({exps: rng.randint(1, ctx.p - 1)}))
+    while len(out) < ctx.p + 10:
+        f = ctx.rand_poly(rng, max_deg=3, max_terms=4)
+        if len(f.terms) > 1:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_polynomial_products_by_one_match_the_schoolbook_product(ctx):
+    rng = random.Random(500 + ctx.p * 10 + ctx.n)
+    one = ctx.const_poly(1)
+    polys = product_operands(ctx, rng)
+    assert {min(len(f.terms), 2) for f in polys} == {0, 1, 2}
+    for f in polys:
+        want = schoolbook_mul(f, one)
+        assert want == schoolbook_mul(one, f) == f
+        assert f * one == want and one * f == want, f
+        # products without a factor 1 still run the loop
+        for g in polys:
+            assert f * g == schoolbook_mul(f, g), (f, g)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
+def test_products_by_one_return_the_other_factor(ctx):
+    rng = random.Random(600 + ctx.p * 10 + ctx.n)
+    one = ctx.one()
+    elems = sub_operands(ctx, rng) + [ctx.scalar(2), one / one, (one + one) - one]
+    assert any(x.is_zero() for x in elems) and any(not x.is_poly() for x in elems)
+    for x in elems:
+        assert x * one == x and one * x == x, x
+        assert x * one == REFERENCE["*"](x, one) == REFERENCE["*"](one, x)
+        if not x.is_zero():
+            assert x * one is x
+        if not x.is_zero() and not x.is_one():
+            assert one * x is x
+
+
+def test_products_of_non_units_still_reach_the_exponent_limit():
+    L = EXP_LIMIT
+    for ctx in CONTEXTS:
+        pad = (0,) * (ctx.n - 1)
+        one = ctx.const_poly(1)
+        half = ctx.poly({(L // 2,) + pad: 1})
+        top = ctx.poly({(L - 1,) + pad: 1})
+        assert top * one is top and one * top is top
+        for f, g in ((half, half), (top, ctx.poly({(1,) + pad: 1})), (half, half + one)):
+            with pytest.raises(FieldError, match="exponent limit"):
+                f * g
+            with pytest.raises(FieldError, match="exponent limit"):
+                RatFunc(ctx, f, one, reduce=False) * RatFunc(ctx, g, one, reduce=False)
+
+
+def test_products_by_one_check_the_contexts_first():
+    pairs = ((CTX2, CTX3), (CTX2, Context(2, ("t", "v"))), (CTX5, Context(5, ("x", "y"))))
+    for mine, other in pairs:
+        x = other.var(other.names[0])
+        for y in (other.zero(), other.one(), x, x * x + other.one(), other.one() / (x + other.one())):
+            with pytest.raises(FieldError, match="mixed field contexts"):
+                mine.one() * y
+            with pytest.raises(FieldError, match="mixed field contexts"):
+                y * mine.one()
+
+
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=repr)
 def test_poly_gcd_against_sympy(ctx):
     sympy = pytest.importorskip("sympy")

@@ -11,6 +11,12 @@ level, by def, class or assignment, counts as referenced when any module of
 the package, __init__ included, reads it: as a name, as an attribute, or
 in a from-import. Tests do not count, so a helper that only tests call
 belongs in the tests.
+
+No module writes into the terms dict of a polynomial. A product by 1 hands
+back its other factor, so polynomials and field elements are shared, and a
+write into one would change every holder of it. The scan flags item
+assignment and deletion on a `.terms` attribute, its mutating dict methods,
+and rebinding `.terms` outside an __init__.
 """
 
 import ast
@@ -113,3 +119,60 @@ def test_the_scan_sees_an_unreferenced_private_name():
                      "class _C:\n    pass\nx = _C\n")
     names = {name for name, _ in private_definitions(tree)} - referenced_names(tree)
     assert names == {"_B", "_f"}
+
+
+DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def terms_writes(tree):
+    """(kind, line) for every write into a `.terms` dict."""
+    in_init = {id(n) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "__init__" for n in ast.walk(f)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_terms(node.value):
+            if isinstance(node.ctx, ast.Store):
+                out.append(("assign", node.lineno))
+            elif isinstance(node.ctx, ast.Del):
+                out.append(("delete", node.lineno))
+        elif _is_terms(node) and not isinstance(node.ctx, ast.Load) and id(node) not in in_init:
+            out.append(("rebind", node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_MUTATORS and _is_terms(node.func.value)):
+            out.append((node.func.attr, node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_writes_into_polynomial_terms(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes = [f"{kind} (line {line})" for kind, line in terms_writes(tree)]
+    assert not writes, f"{path.name} writes into a .terms dict: {', '.join(writes)}"
+
+
+def test_the_scan_sees_writes_into_terms():
+    tree = ast.parse(
+        "f.terms[k] = 1\n"
+        "f.terms[k] += 1\n"
+        "del f.terms[k]\n"
+        "f.terms.update(g.terms)\n"
+        "f.terms.pop(k)\n"
+        "f.terms.popitem()\n"
+        "f.terms.setdefault(k, 1)\n"
+        "f.terms.clear()\n"
+        "f.terms, g = {}, 1\n"
+        "class P:\n"
+        "    def __init__(self, terms):\n"
+        "        self.terms = terms\n"
+        "out = dict(f.terms)\n"
+        "out[k] = f.terms[k] + f.terms.get(k, 0)\n"
+        "out.pop(k)\n"
+    )
+    assert sorted(terms_writes(tree), key=lambda w: w[1]) == [
+        ("assign", 1), ("assign", 2), ("delete", 3), ("update", 4), ("pop", 5),
+        ("popitem", 6), ("setdefault", 7), ("clear", 8), ("rebind", 9),
+    ]

@@ -102,6 +102,49 @@ def test_mat2_det_check_matches_reduced_fractions(p):
         Mat2(ctx, ctx.one(), Context(p, ("x",)).zero(), ctx.zero(), ctx.one())
 
 
+def det_is_one(g):
+    """a*d - b*c == 1, computed in reduced fractions."""
+    return g.a * g.d - g.b * g.c == g.ctx.one()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_words_of_generators_stay_in_sl2(p):
+    """Products, inverses, the identity and the generators skip the
+    constructor's determinant check; here it runs on random words."""
+    ctx = Context(p, ("t", "u"))
+    rng = random.Random(800 + p)
+    assert det_is_one(Mat2.identity(ctx))
+    kinds = set()
+    for _ in range(20):
+        g = Mat2.identity(ctx)
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice("abhw")
+            kinds.add(kind)
+            t = None if kind == "w" else ctx.rand_ratfunc(
+                rng, max_deg=2, max_terms=2, nonzero=kind == "h")
+            x = gen(kind, t, ctx)
+            assert det_is_one(x) and det_is_one(x.inverse())
+            g = g * x if rng.random() < 0.5 else x.inverse() * g
+            if rng.random() < 0.2:
+                g = g.inverse()
+            assert det_is_one(g)
+        assert g * g.inverse() == Mat2.identity(ctx)
+        assert Mat2(ctx, g.a, g.b, g.c, g.d) == g
+    assert kinds == set("abhw")
+
+
+def test_generators_reject_elements_of_another_context():
+    s = CTX3.var("s")
+    for kind in ("a", "b", "h"):
+        with pytest.raises(FieldError, match="mixed field contexts"):
+            gen(kind, s, CTX2)
+        # an equal context is the same field
+        t = Context(2, ("t", "u")).var("t")
+        assert gen(kind, t, CTX2) == gen(kind, CTX2.var("t"), CTX2)
+    with pytest.raises(SpecError):
+        gen("x", s, CTX2)
+
+
 def test_weyl_relations():
     for ctx in (CTX2, CTX3):
         one = ctx.one()

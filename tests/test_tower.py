@@ -272,6 +272,20 @@ def test_stable_under_matches_the_stabilizer_field():
     assert seen == {True, False}
 
 
+def test_scalar_field_lies_in_the_stabilizer():
+    """validate_tower's condition (1) compares degrees only: an R-space is a
+    space over its scalar field, so that field always lies in its stabilizer."""
+    rng = random.Random(21)
+    spaces = list(_preset_rspaces()) + _whole_field_rspaces()
+    for trial in range(12):
+        p, names = SHAPES[trial % len(SHAPES)]
+        spaces.append(rand_rspace(rng, Context(p, names), denominators=trial % 2 == 1))
+    assert any(R.over.gens for R in spaces)
+    for R in spaces:
+        D = stabilizer_field(R)
+        assert all(D.contains(g) for g in R.over.gens), R
+
+
 def test_validate_tower_positive_presets():
     for name in ("tower-simple", "tower-over-k1"):
         cfg = Config.load(preset(name))
