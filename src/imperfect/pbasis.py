@@ -22,15 +22,20 @@ p-monomials in a. Only the coordinates themselves need those: they are
 exact linear algebra over K in the coordinates of the ambient variable
 p-basis (x_1, ..., x_n), which are computable directly from the fraction
 representation without solving anything.
+
+A tuple over K^p is a PBasis, which builds its Jacobian span, p-monomials
+and p^m coordinate system at most once each; `lambda_coords` and
+`reconstruct` are one-shot calls into one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .field import Context, FieldError, RatFunc, SparsePoly, prod
+from .field import Context, FieldError, RatFunc, SparsePoly, frobenius, prod
 
 
 def monomial_exponents(p: int, arity: int, i: int) -> Tuple[int, ...]:
@@ -67,10 +72,6 @@ class LambdaCoords:
         return self.coords[i]
 
 
-def _undefined(ctx: Context, length: int) -> LambdaCoords:
-    return LambdaCoords(tuple([ctx.zero()] * length), False)
-
-
 def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
     """Coordinates of b relative to the ambient variable p-basis (x_1, ..., x_n),
     scaled by b.den: polynomials, made without any linear algebra or gcd.
@@ -78,7 +79,8 @@ def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
     Write b = N / den^p with N = num * den^(p-1), split the terms of N by the
     residues of their exponent vectors mod p, and divide exponents by p; F_p
     coefficients are fixed by the p-th power map. Coordinate i is then the
-    i-th polynomial over den, for any num / den equal to b, reduced or not.
+    i-th polynomial over den, for any num / den equal to b, reduced or not,
+    i being the residue vector read in base p (see monomial_exponents).
     The scaling changes no answer about membership in a K-span.
     """
     ctx = b.ctx
@@ -86,13 +88,15 @@ def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
     N = b.num
     for _ in range(p - 1):
         N = N * b.den
-    buckets = {}
+    buckets = [{} for _ in range(p ** ctx.n)]
     for e, c in N.terms.items():
-        residue = tuple([v % p for v in ctx.unpack(e)])
+        residue = [v % p for v in ctx.unpack(e)]
+        i = 0
+        for r in reversed(residue):
+            i = i * p + r
         # every exponent of N / x^residue is a multiple of p
-        buckets.setdefault(residue, {})[(e - ctx.pack(residue)) // p] = c
-    return [SparsePoly(ctx, buckets.get(monomial_exponents(p, ctx.n, i), {}))
-            for i in range(p ** ctx.n)]
+        buckets[i][(e - ctx.pack(residue)) // p] = c
+    return [SparsePoly(ctx, terms) for terms in buckets]
 
 
 def _partial(f: SparsePoly, k: int) -> SparsePoly:
@@ -125,39 +129,79 @@ def differential(b: RatFunc) -> List[SparsePoly]:
     return out
 
 
+class PBasis:
+    """A tuple a = (a_1, ..., a_m) over K^p, with the systems that answer for it.
+
+    Each of these is built on first use, once: the Jacobian span of
+    da_1, ..., da_m, which decides `independent` and `contains`; the p^m
+    p-monomials m_i(a), in `monomials`; and the p^m coordinate system, the
+    ambient coordinates of the m_i, which `coords` solves.
+    """
+
+    def __init__(self, gens: Sequence[RatFunc], ctx: Context):
+        self.gens = tuple(gens)
+        self.ctx = ctx
+
+    @property
+    def dim_over_p(self) -> int:
+        """p^m, the number of p-monomials; [K^p[a] : K^p] when a is p-independent."""
+        return self.ctx.p ** len(self.gens)
+
+    @cached_property
+    def _span(self) -> _linalg.ColumnSpace:
+        one = self.ctx.const_poly(1)
+        return _linalg.ColumnSpace([(differential(g), one) for g in self.gens], self.ctx)
+
+    @cached_property
+    def independent(self) -> bool:
+        """Whether the tuple is p-independent (the Jacobian criterion)."""
+        gens = self.gens
+        return len(gens) <= self.ctx.n and not any(g.is_zero() for g in gens) and self._span.ok
+
+    @cached_property
+    def monomials(self) -> Tuple[RatFunc, ...]:
+        """The p-monomials m_0 = 1, m_1, ..., m_{p^m - 1} in the tuple."""
+        return tuple(p_monomial(self.ctx, i, self.gens) for i in range(self.dim_over_p))
+
+    @cached_property
+    def _system(self) -> _linalg.ColumnSpace:
+        columns = [(lambda_numerators(m), m.den) for m in self.monomials]
+        return _linalg.ColumnSpace(columns, self.ctx)
+
+    def contains(self, x: RatFunc) -> bool:
+        """Whether x lies in K^p[a]: dx lies in the span of the da_i."""
+        return self._span.contains(differential(x))
+
+    def coords(self, x: RatFunc) -> LambdaCoords:
+        """The unique coordinates of x over K^p relative to the tuple, when they exist."""
+        # the Jacobian criterion decides definedness before the p^m system is built
+        if not self.independent or not self.contains(x):
+            return LambdaCoords((self.ctx.zero(),) * self.dim_over_p, False)
+        sol = self._system.solve(lambda_numerators(x), x.den)
+        if sol is None:
+            raise FieldError("the differential criterion and the coordinate system disagree")
+        return LambdaCoords(tuple(sol), True)
+
+    def combine(self, coords: Sequence[RatFunc]) -> RatFunc:
+        """sum coords[i]^p * m_i(a); the inverse direction of coords."""
+        if len(coords) > self.dim_over_p:
+            raise FieldError(f"{len(coords)} coordinates for {self.dim_over_p} p-monomials")
+        return sum((frobenius(c) * m for c, m in zip(coords, self.monomials) if not c.is_zero()),
+                   self.ctx.zero())
+
+
 def lambda_coords(a: Sequence[RatFunc], b: RatFunc, ctx: Optional[Context] = None) -> LambdaCoords:
     """The unique coordinates of b over K^p relative to the tuple a, when they exist."""
     if ctx is None:
         if not a:
             raise FieldError("empty tuple needs an explicit context")
         ctx = a[0].ctx
-    m = len(a)
-    size = ctx.p ** m
-    if m > ctx.n or any(x.is_zero() for x in a):
-        return _undefined(ctx, size)
-    # the Jacobian criterion decides definedness before the p^m system is built
-    one = ctx.const_poly(1)
-    span = _linalg.ColumnSpace([(differential(x), one) for x in a], ctx)
-    if not span.ok or not span.contains(differential(b)):
-        return _undefined(ctx, size)
-    monomials = [p_monomial(ctx, i, a) for i in range(size)]
-    space = _linalg.ColumnSpace([(lambda_numerators(m), m.den) for m in monomials], ctx)
-    sol = space.solve(lambda_numerators(b), b.den)
-    if sol is None:
-        raise FieldError("the differential criterion and the coordinate system disagree")
-    return LambdaCoords(tuple(sol), True)
+    return PBasis(a, ctx).coords(b)
 
 
 def reconstruct(a: Sequence[RatFunc], coords: Sequence[RatFunc], ctx: Context) -> RatFunc:
     """sum coords[i]^p * m_i(a); the inverse direction of lambda_coords."""
-    from .field import frobenius
-
-    acc = ctx.zero()
-    for i, c in enumerate(coords):
-        if c.is_zero():
-            continue
-        acc = acc + frobenius(c) * p_monomial(ctx, i, a)
-    return acc
+    return PBasis(a, ctx).combine(coords)
 
 
 def is_p_independent(

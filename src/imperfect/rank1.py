@@ -112,6 +112,8 @@ def gen(kind: str, t: Optional[RatFunc], ctx: Context) -> Mat2:
         raise SpecError(f"unknown generator kind {kind!r}")
     if kind == "h" and (t is None or t.is_zero()):
         raise FieldError("h(t) needs t != 0")
+    if t is None:
+        raise FieldError(f"{kind}(t) needs an element t")
     one._check(t)
     if kind == "a":
         return Mat2._known(ctx, one, t, zero, one)
@@ -274,16 +276,13 @@ class TimmesfeldData:
         if (self.K1 is None) != (self.u_coord is None):
             raise SpecError("codim-1 data needs both the subfield and the coordinate")
         if self.K1 is not None:
-            from .pbasis import p_monomial
-
             u = self.u_coord
             if not self.L.contains(u):
                 raise SpecError("split coordinate is not in L")
             if self.K1.contains(u):
                 raise SpecError("split coordinate lies in the subfield")
-            for l in range(self.K1.dim_over_p):
-                if not self.L.contains(p_monomial(ctx, l, self.K1.gens)):
-                    raise SpecError("subfield does not embed in L")
+            if not all(self.L.contains(m) for m in self.K1.monomials):
+                raise SpecError("subfield does not embed in L")
             if len(self.L.basis) != self.K1.dim_over_p + 1:
                 raise SpecError(
                     "L does not split as the subfield plus one line: "

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import Context, FieldError, RatFunc, pth_root, render_element
-from .pbasis import p_monomial
 from .rank1 import Membership, TimmesfeldData, TorusWitness, torus_membership
 from .tower import (
     DerivedFields,
@@ -374,13 +373,7 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
 def _k2_space(spec: IndifferentSpec, name: str, field: SubfieldSpec,
               basis: Sequence[RatFunc]) -> RSpaceSpec:
     """An over-E0 space rewritten with scalars from K^2."""
-    ctx = spec.ctx
-    full = []
-    for l in range(field.dim_over_p):
-        m = p_monomial(ctx, l, field.gens)
-        for b in basis:
-            full.append(m * b)
-    return RSpaceSpec(name, spec.Kp, full)
+    return RSpaceSpec(name, spec.Kp, [m * b for m in field.monomials for b in basis])
 
 
 def _torus_data(spec: IndifferentSpec) -> Tuple[TimmesfeldData, TimmesfeldData]:

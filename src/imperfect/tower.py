@@ -23,15 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
 from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, prod, render_element
-from .pbasis import (
-    LambdaCoords,
-    differential,
-    is_p_independent,
-    lambda_coords,
-    lambda_numerators,
-    p_monomial,
-    reconstruct,
-)
+from .pbasis import LambdaCoords, PBasis, differential, is_p_independent, lambda_numerators
 
 
 class SpecError(ImperfectError, ValueError):
@@ -51,7 +43,7 @@ class InvariantViolation(ImperfectError, AssertionError):
 # ---------------------------------------------------------------------------
 
 
-class SubfieldSpec:
+class SubfieldSpec(PBasis):
     """K^p[gens] inside the ambient field; gens must be p-independent.
 
     Both questions are answered by the Jacobian criterion (see pbasis): the
@@ -60,43 +52,25 @@ class SubfieldSpec:
     """
 
     def __init__(self, name: str, gens: Sequence[RatFunc], ctx: Context):
+        super().__init__(gens, ctx)
         self.name = name
-        self.gens = tuple(gens)
-        self.ctx = ctx
         if any(g.is_zero() for g in self.gens):
             raise SpecError("zero generator", name)
-        if len(self.gens) > ctx.n:
+        if not self.independent:
             raise SpecError("generators are not p-independent", name)
-        # one elimination both validates the generators and answers every query
-        one = ctx.const_poly(1)
-        self._space = _linalg.ColumnSpace([(differential(g), one) for g in self.gens], ctx)
-        if not self._space.ok:
-            raise SpecError("generators are not p-independent", name)
-
-    @property
-    def dim_over_p(self) -> int:
-        """[K^p[gens] : K^p] = p^(number of generators)."""
-        return self.ctx.p ** len(self.gens)
 
     def member(self, x: RatFunc) -> Optional[LambdaCoords]:
-        coords = lambda_coords(self.gens, x, self.ctx)
+        coords = self.coords(x)
         return coords if coords.defined else None
-
-    def contains(self, x: RatFunc) -> bool:
-        return self._space.contains(differential(x))
 
     def rand_element(
         self, rng: random.Random, nonzero: bool = False, max_deg: int = 1, max_terms: int = 2
     ) -> RatFunc:
-        from .field import frobenius
-
         while True:
-            acc = self.ctx.zero()
-            for l in range(self.dim_over_p):
-                if rng.random() < 0.5:
-                    continue
-                c = self.ctx.rand_ratfunc(rng, max_deg, max_terms, denominators=False)
-                acc = acc + frobenius(c) * p_monomial(self.ctx, l, self.gens)
+            acc = self.combine([
+                self.ctx.rand_ratfunc(rng, max_deg, max_terms, denominators=False)
+                if rng.random() >= 0.5 else self.ctx.zero() for _ in self.monomials
+            ])
             if not nonzero or not acc.is_zero():
                 return acc
 
@@ -117,10 +91,9 @@ class RSpaceSpec:
             raise SpecError("empty basis", name)
         if not any(b.is_one() for b in self.basis):
             raise SpecError("basis does not contain 1", name)
-        w = over.dim_over_p
-        if len(self.basis) * w > self.ctx.p ** self.ctx.n:
+        if len(self.basis) * over.dim_over_p > self.ctx.p ** self.ctx.n:
             raise SpecError("basis is not linearly independent over the scalar field", name)
-        products = [p_monomial(self.ctx, l, over.gens) * b for b in self.basis for l in range(w)]
+        products = [m * b for b in self.basis for m in over.monomials]
         columns = [(lambda_numerators(x), x.den) for x in products]
         # one elimination validates the basis, answers every query and gives
         # the equations that the stabilizer is computed from
@@ -134,11 +107,7 @@ class RSpaceSpec:
         if sol is None:
             return None
         w = self.over.dim_over_p
-        coords = []
-        for j in range(len(self.basis)):
-            block = sol[j * w : (j + 1) * w]
-            coords.append(reconstruct(self.over.gens, block, self.ctx))
-        return coords
+        return [self.over.combine(sol[j * w : (j + 1) * w]) for j in range(len(self.basis))]
 
     def contains(self, x: RatFunc) -> bool:
         return self._space.contains(lambda_numerators(x))
@@ -153,13 +122,14 @@ class RSpaceSpec:
             acc = acc + c * b
         return acc
 
+    def rand_coords(self, rng: random.Random) -> List[RatFunc]:
+        """Random scalar-field coordinates, each zero with probability 0.3."""
+        return [self.over.rand_element(rng) if rng.random() < 0.7 else self.ctx.zero()
+                for _ in self.basis]
+
     def rand_element(self, rng: random.Random, nonzero: bool = False) -> RatFunc:
         while True:
-            coords = [
-                self.over.rand_element(rng) if rng.random() < 0.7 else self.ctx.zero()
-                for _ in self.basis
-            ]
-            x = self.evaluate(coords)
+            x = self.evaluate(self.rand_coords(rng))
             if not nonzero or not x.is_zero():
                 return x
 
@@ -216,29 +186,27 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _stabilizer_vectors(R: RSpaceSpec) -> List[List[RatFunc]]:
+def _stabilizer_vectors(R: RSpaceSpec, xs: PBasis) -> List[List[RatFunc]]:
     """K-basis of the ambient-coordinate space of {a in K : a * R <= R}.
 
     Write a = sum_r a_r^p x^r over the p-monomials x^r in the variables.
     Then lambda(a * b) = sum_r a_r * lambda(x^r * b), and a * R <= R iff
     a * b lies in R for each basis element b, that is iff each of R's
     membership equations vanishes on that sum. So the unknowns are the p^n
-    coordinates a_r, with one row per basis element and equation.
+    coordinates a_r, with one row per basis element and equation; xs is the
+    ambient p-basis (x_1, ..., x_n).
 
     Each x^r * b is taken as x^r * b.num over b.den, unreduced, so that every
     row for b is scaled by the one factor b.den, which changes no kernel. A
     reduced x^r * b would scale each unknown's column by its own factor.
     """
     ctx = R.ctx
-    size = ctx.p ** ctx.n
-    xs = ctx.gens()
-    monomials = [p_monomial(ctx, r, xs).num for r in range(size)]
     rows = []
     for b in R.basis:
-        products = [RatFunc(ctx, m * b.num, b.den, reduce=False) for m in monomials]
+        products = [RatFunc(ctx, m.num * b.num, b.den, reduce=False) for m in xs.monomials]
         values = [list(R._space.residuals(lambda_numerators(x))) for x in products]
         rows += [list(row) for row in zip(*values)]
-    return _linalg.nullspace(rows, size, ctx)
+    return _linalg.nullspace(rows, xs.dim_over_p, ctx)
 
 
 def _greedy_gens(candidates: Sequence[RatFunc]) -> List[RatFunc]:
@@ -253,10 +221,11 @@ def stabilizer_field(R: RSpaceSpec) -> SubfieldSpec:
     """Generators for the multiplicative stabilizer {a : a*R <= R}, always a field;
     they depend only on the stabilizer, not on the order of R's basis."""
     ctx = R.ctx
-    vecs = _stabilizer_vectors(R)
+    xs = PBasis(ctx.gens(), ctx)
+    vecs = _stabilizer_vectors(R, xs)
     elements = []
     for v in vecs:
-        a = reconstruct(ctx.gens(), v, ctx)
+        a = xs.combine(v)
         if a.is_zero():
             continue
         # multiplying by den^p changes nothing mod K^p and keeps the
@@ -307,14 +276,7 @@ def _sample_independent_subset(
     """
     ctx = R.ctx
     one_row = [ctx.one() if b.is_one() else ctx.zero() for b in R.basis]
-    coordvecs = []
-    for _ in range(k):
-        coordvecs.append(
-            [
-                R.over.rand_element(rng) if rng.random() < 0.7 else ctx.zero()
-                for _ in R.basis
-            ]
-        )
+    coordvecs = [R.rand_coords(rng) for _ in range(k)]
     if len(_linalg.pivots([_cleared(row) for row in [one_row] + coordvecs])) != k + 1:
         return None
     return [R.evaluate(cv) for cv in coordvecs]

@@ -17,6 +17,9 @@ back its other factor, so polynomials and field elements are shared, and a
 write into one would change every holder of it. The scan flags item
 assignment and deletion on a `.terms` attribute, its mutating dict methods,
 and rebinding `.terms` outside an __init__.
+
+Only pbasis names `p_monomial`: everywhere else a tuple's p-monomials are
+read from its PBasis, which builds them once.
 """
 
 import ast
@@ -176,3 +179,39 @@ def test_the_scan_sees_writes_into_terms():
         ("assign", 1), ("assign", 2), ("delete", 3), ("update", 4), ("pop", 5),
         ("popitem", 6), ("setdefault", 7), ("clear", 8), ("rebind", 9),
     ]
+
+
+def p_monomial_references(tree):
+    """Lines that name p_monomial: as a name, an attribute or a from-import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "p_monomial" in names:
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "pbasis.py"],
+                         ids=lambda p: p.name)
+def test_only_pbasis_builds_p_monomials(path):
+    lines = p_monomial_references(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} names p_monomial on lines {lines}; read PBasis.monomials"
+
+
+def test_the_scan_sees_p_monomial():
+    tree = ast.parse(
+        "from .pbasis import p_monomial\n"
+        "m = p_monomial(ctx, 1, a)\n"
+        "n = pbasis.p_monomial(ctx, 2, a)\n"
+        "k = basis.monomials[1] * p_monomials\n"
+        "def f():\n"
+        "    from .pbasis import monomial_exponents, p_monomial as pm\n"
+    )
+    assert sorted(p_monomial_references(tree)) == [1, 2, 3, 6]

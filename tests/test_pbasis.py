@@ -4,6 +4,7 @@ import pytest
 
 from imperfect.field import Context, FieldError, frobenius
 from imperfect.pbasis import (
+    PBasis,
     is_p_independent,
     lambda_coords,
     monomial_exponents,
@@ -172,3 +173,37 @@ def test_coords_are_unique():
         l1 = lambda_coords((t, u), b)
         l2 = lambda_coords((t, u), b)
         assert list(l1) == list(l2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("names", (("t",), ("t", "u"), ("t", "u", "v")), ids=len)
+def test_ambient_coordinates_round_trip(p, names):
+    """The sum of p-th powers times the variable p-monomials undoes the residue
+    split of lambda_numerators, which shares no code with it."""
+    ctx = Context(p, names)
+    rng = random.Random(100 * p + len(names))
+    fractions = 0
+    for _ in range(12):
+        b = ctx.rand_ratfunc(rng, max_deg=p + 1, max_terms=4)
+        fractions += not b.den.is_one()
+        assert reconstruct(ctx.gens(), lambda_ambient(b), ctx) == b
+    assert fractions
+
+
+def test_pbasis_answers_as_the_functions_do():
+    t, u = CTX2.gens()
+    rng = random.Random(23)
+    for a in ((t,), (t + u, t * u), (t, t), (t * t,)):
+        basis = PBasis(a, CTX2)
+        assert basis.independent == is_p_independent(a, ctx=CTX2)
+        assert basis.monomials == tuple(p_monomial(CTX2, i, a) for i in range(2 ** len(a)))
+        for _ in range(6):
+            b = CTX2.rand_ratfunc(rng)
+            lam = basis.coords(b)
+            assert lam == lambda_coords(a, b, CTX2)
+            if basis.independent:
+                assert basis.contains(b) == lam.defined
+            if lam.defined:
+                assert basis.combine(lam) == b == reconstruct(a, lam, CTX2)
+    with pytest.raises(FieldError):
+        PBasis((t,), CTX2).combine([CTX2.one()] * 3)

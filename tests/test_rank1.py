@@ -145,6 +145,13 @@ def test_generators_reject_elements_of_another_context():
         gen("x", s, CTX2)
 
 
+def test_generators_other_than_w_need_an_element():
+    ctx = Context(2, ("t",))
+    for kind in ("a", "b", "h"):
+        with pytest.raises(FieldError, match=r"\(t\) needs"):
+            gen(kind, None, ctx)
+
+
 def test_weyl_relations():
     for ctx in (CTX2, CTX3):
         one = ctx.one()

@@ -5,7 +5,7 @@ import pytest
 
 from imperfect import _linalg
 from imperfect.field import Context, frobenius, parse_element, render_element
-from imperfect.pbasis import is_p_independent, p_monomial
+from imperfect.pbasis import PBasis, is_p_independent, p_monomial
 from imperfect.presets import Bundle, preset, preset_names
 from imperfect.tower import (
     Config,
@@ -113,6 +113,11 @@ def test_stabilizer_field_over_k1():
 # one built from R's own membership equations
 
 
+def ambient(R):
+    """The variable p-basis (x_1, ..., x_n) of R's field."""
+    return PBasis(R.ctx.gens(), R.ctx)
+
+
 def stacked_stabilizer_vectors(R):
     """Unknowns are the ambient coordinates of a together with, per basis
     element b_j, the coordinates of a*b_j in R's membership columns. The
@@ -200,6 +205,27 @@ def _whole_field_rspaces():
     ]
 
 
+def test_a_subfield_builds_its_coordinate_system_once(monkeypatch):
+    built = []
+
+    class CountedColumnSpace(_linalg.ColumnSpace):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(_linalg, "ColumnSpace", CountedColumnSpace)
+    t, u, v = CTX.gens()
+    F = SubfieldSpec("F", (t + u, t * v), CTX)
+    assert built == [2]  # the Jacobian span, which validates the generators
+    rng = random.Random(8)
+    xs = [F.rand_element(rng, nonzero=True) for _ in range(5)]
+    assert all(F.contains(x) for x in xs) and not F.contains(u)
+    assert built == [2]
+    assert all(F.member(x) is not None for x in xs)
+    assert F.member(u) is None
+    assert built == [2, 4]  # and the p^m system, once for all queries
+
+
 def test_stabilizer_vectors_match_the_stacked_system():
     rng = random.Random(11)
     spaces = list(_preset_rspaces()) + _whole_field_rspaces()
@@ -209,10 +235,10 @@ def test_stabilizer_vectors_match_the_stacked_system():
     assert {R.ctx.p for R in spaces} == {2, 3, 5}
     assert any(not b.den.is_one() for R in spaces for b in R.basis)
     for R in spaces:
-        got = _stabilizer_vectors(R)
+        got = _stabilizer_vectors(R, ambient(R))
         assert _same_span(got, stacked_stabilizer_vectors(R)), R
     for R in _whole_field_rspaces():
-        assert len(_stabilizer_vectors(R)) == R.ctx.p ** R.ctx.n
+        assert len(_stabilizer_vectors(R, ambient(R))) == R.ctx.p ** R.ctx.n
 
 
 def test_stabilizer_rows_for_one_basis_element_share_one_factor():
@@ -229,7 +255,7 @@ def test_stabilizer_rows_for_one_basis_element_share_one_factor():
         RSpaceSpec("R", SubfieldSpec("F", (s_ + t3,), ctx3), [ctx3.one(), t3 / s_]),
     ]
     for R in spaces:
-        assert _same_span(_stabilizer_vectors(R), stacked_stabilizer_vectors(R)), R
+        assert _same_span(_stabilizer_vectors(R, ambient(R)), stacked_stabilizer_vectors(R)), R
     assert [render_element(g) for g in stabilizer_field(spaces[0]).gens] == ["u+t", "t*v"]
 
 
