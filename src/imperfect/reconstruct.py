@@ -647,8 +647,8 @@ def cc_experiment(root: int, group, samples: int = 24, seed: int = 0) -> dict:
     are then checked to lie on the root line. The result is evidence, not
     proof: a report of confirmations and exclusions.
     """
-    from .sp4 import (Sp4Root, SLOT_ROOT, chevalley_gen, identity4, sp4_bruhat,
-                      torus_matrix, weyl_rep)
+    from .sp4 import (Sp4Root, SLOT_ROOT, chevalley_gen, identity4, slot_domain,
+                      sp4_bruhat, torus_matrix, weyl_rep)
 
     if root not in (2, 4):
         raise SpecError("the experiment is set up for the long slots 2 and 4")
@@ -663,8 +663,7 @@ def cc_experiment(root: int, group, samples: int = 24, seed: int = 0) -> dict:
     def rand_u_elem(slots, nonzero=False):
         g = identity4(ctx)
         for s in slots:
-            dom = spec.K0 if s in (1, 3) else spec.L0
-            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[s]), rand_in(dom, nonzero))
+            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[s]), rand_in(slot_domain(spec, s), nonzero))
         return g
 
     centralizer_samples = []

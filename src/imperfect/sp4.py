@@ -136,6 +136,12 @@ _ROOT_TABLE: Dict[str, Tuple[str, Optional[int], Tuple[Tuple[int, int], ...]]] =
 SLOT_ROOT = {1: "alpha", 2: "2alpha+beta", 3: "alpha+beta", 4: "beta"}
 
 
+def slot_domain(spec: IndifferentSpec, slot: int) -> SubfieldSpec:
+    """The coordinate domain of a quadrangle slot: K0 for the short roots
+    (slots 1 and 3), L0 for the long ones (slots 2 and 4)."""
+    return spec.K0 if slot in (1, 3) else spec.L0
+
+
 @dataclass(frozen=True)
 class Sp4Root:
     name: str
@@ -175,18 +181,6 @@ def torus_matrix(s_alpha: RatFunc, s_beta: RatFunc) -> Mat4:
     return Mat4(ctx, [[d[i] if i == j else z for j in range(4)] for i in range(4)])
 
 
-def torus_coords(g: Mat4) -> Tuple[RatFunc, RatFunc]:
-    """(s_alpha, s_beta) for a diagonal symplectic matrix."""
-    d = [g.rows[i][i] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i != j and not g.rows[i][j].is_zero():
-                raise SpecError("matrix is not diagonal")
-    if not (d[0] * d[3]).is_one() or not (d[1] * d[2]).is_one():
-        raise InvariantViolation("diagonal is not in the symplectic torus")
-    return d[0], d[0] * d[1]
-
-
 # ---------------------------------------------------------------------------
 # unipotent normal forms as matrices
 # ---------------------------------------------------------------------------
@@ -203,37 +197,17 @@ def full_datum(ctx: Context) -> RootDatum2:
 
 
 def u_to_mat(u: UElement) -> Mat4:
-    """x1(t) x2(b) x3(c) x4(a), multiplied out as in mat_to_u."""
+    """x1(t) x2(b) x3(c) x4(a), multiplied out.
+
+    The product is [1, t, c+at, b+ct; 0, 1, a, c; 0, 0, 1, t; 0, 0, 0, 1], so
+    entries (0, 1), (1, 2) and (1, 3) give t, a and c, and (0, 3) gives b as
+    r[0][3] + c*t in characteristic 2; sp4_bruhat reads its u1 and u2 back
+    from these entries.
+    """
     ctx = u.datum.ctx
     t, b, c, a = u.coords
     z, o = ctx.zero(), ctx.one()
     return Mat4(ctx, [[o, t, c + a * t, b + c * t], [z, o, a, c], [z, z, o, t], [z, z, z, o]])
-
-
-def mat_to_u(m: Mat4) -> UElement:
-    """Coordinates of an upper unipotent symplectic matrix.
-
-    x1(t) x2(b) x3(c) x4(a) multiplies out to
-        [1, t, c+at, b+ct; 0, 1, a, c; 0, 0, 1, t; 0, 0, 0, 1]
-    and the extraction inverts that. Entries (0, 1), (1, 2) and (1, 3) give
-    t, a and c, and (0, 3) gives b: in characteristic 2, b + ct equals
-    r[0][3] for every b, so (2, 3) and (0, 2) are the only entries left to
-    test, and a mismatch there means the input was not in the image.
-    """
-    r = m.rows
-    for i in range(4):
-        if not r[i][i].is_one():
-            raise SpecError("matrix is not unipotent")
-        for j in range(i):
-            if not r[i][j].is_zero():
-                raise SpecError("matrix is not upper triangular")
-    t = r[0][1]
-    a = r[1][2]
-    c = r[1][3]
-    b = r[0][3] + c * t
-    if r[2][3] != t or r[0][2] != c + a * t:
-        raise SpecError("matrix is not in the positive unipotent subgroup")
-    return UElement(full_datum(m.ctx), (t, b, c, a))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +284,19 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
     One bottom-up pass writes g = B * V with B = u1 * h upper triangular and
     V = n_w * u2. Row i of V is 1 in its pivot column col[i], the leftmost
     column where row i's residual is nonzero, and 0 in the pivot columns of
-    the rows below it. The pivot columns give the chamber, the diagonal of B
-    the torus part, B's columns over that diagonal u1, and V's rows in
-    pivot-column order u2. Each entry is reduced once, and the result is
-    verified by reassembly.
+    the rows below it. The pivot columns give the chamber, and the rest is
+    read off the split: s_alpha = B[0][0] and s_beta = B[0][0] * B[1][1], u1
+    from B's first two rows over its diagonal, and u2 from the rows of V
+    whose pivots are in columns 0 and 1. Each entry is reduced once.
+
+    The checks are: the input is symplectic, every pivot is nonzero, the
+    pivot pattern is a Weyl chamber, u2 lies on the chamber's descent slots,
+    and u1 * h * n_w * u2 reassembles to g exactly. The reassembly certifies
+    the answer, and with the support check it is the unique canonical one.
+    The split is not tested further: for symplectic g, B = u1 * h lies in the
+    Borel subgroup, so its diagonal is in the torus and its unipotent part
+    satisfies the entry ties of u_to_mat, and an arithmetic fault that broke
+    either would also break the reassembly.
     """
     ctx = g.ctx
     if not is_symplectic(g):
@@ -347,12 +330,13 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
     word = _CHAMBER.get(perm)
     if word is None:
         raise InvariantViolation(f"pivot pattern {list(perm)} matches no Weyl chamber")
-    s_alpha, s_beta = torus_coords(
-        Mat4(ctx, [[B[i][i] if i == j else zero for j in range(4)] for i in range(4)])
-    )
-    u1 = mat_to_u(Mat4(ctx, [[one if i == j else B[i][j] / B[j][j] for j in range(4)]
-                             for i in range(4)]))
-    u2 = mat_to_u(Mat4(ctx, [V[p] for p in perm]))
+    s_alpha, s_beta = B[0][0], B[0][0] * B[1][1]
+    datum = full_datum(ctx)
+    t, a, c = B[0][1] / B[1][1], B[1][2] / B[2][2], B[1][3] / B[3][3]
+    u1 = UElement(datum, (t, B[0][3] / B[3][3] + c * t, c, a))
+    top, second = V[perm[0]], V[perm[1]]
+    t, a, c = top[1], second[2], second[3]
+    u2 = UElement(datum, (t, top[3] + c * t, c, a))
     allowed = descent_slots(word)
     for slot, _ in u2.word():
         if slot not in allowed:
@@ -395,7 +379,7 @@ def _slot_escape(br: "Bruhat4", spec: IndifferentSpec) -> Optional[Membership]:
     """The negative answer forced by an out-of-domain unipotent coordinate."""
     for u in (br.u1, br.u2):
         for slot, c in u.word():
-            dom = spec.K0 if slot in (1, 3) else spec.L0
+            dom = slot_domain(spec, slot)
             if not dom.contains(c):
                 return Membership(
                     "no",

@@ -8,6 +8,7 @@ inputs that reproduce the problem through the CLI or a REPL.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field as dc_field
@@ -131,14 +132,14 @@ def _chk_field_pth_root(cfg, rng, inst):
 
 def _chk_pbasis_roundtrip(cfg, rng, inst):
     ctx = Context(2, ("t", "u", "v"))
-    a = ctx.gens()
+    basis = pbasis.PBasis(ctx.gens(), ctx)
     for _ in range(max(6, cfg.samples // 3)):
         x = _rand(ctx, rng, max_deg=1, max_terms=2)
-        coords = pbasis.lambda_coords(a, x, ctx)
+        coords = basis.coords(x)
         if not coords.defined:
             raise _Fail("coordinates undefined on a full variable tuple",
                         {"element": render_element(x)})
-        back = pbasis.reconstruct(a, list(coords), ctx)
+        back = basis.combine(list(coords))
         if back != x:
             raise _Fail("reconstruct(lambda(x)) != x",
                         {"element": render_element(x)})
@@ -320,7 +321,7 @@ def _chk_unipotent_torus(cfg, rng, inst):
 
 
 def _chk_sp4_bruhat(cfg, rng, inst):
-    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, sp4_bruhat, weyl_rep
+    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, slot_domain, sp4_bruhat, weyl_rep
 
     group = inst["sp4"]
     spec = group.spec
@@ -330,8 +331,8 @@ def _chk_sp4_bruhat(cfg, rng, inst):
         g = weyl_rep(rng.choice(("e", "a", "b", "ab", "ba", "aba", "bab", "abab")), ctx)
         for _ in range(3):
             slot = rng.randrange(1, 5)
-            dom = spec.K0 if slot in (1, 3) else spec.L0
-            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), dom.rand_element(rng))
+            c = slot_domain(spec, slot).rand_element(rng)
+            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), c)
         br = sp4_bruhat(g)
         if br.to_matrix() != g:
             raise _Fail("cell decomposition does not reassemble",
@@ -339,7 +340,7 @@ def _chk_sp4_bruhat(cfg, rng, inst):
 
 
 def _chk_sp4_membership(cfg, rng, inst):
-    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, identity4
+    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, identity4, slot_domain
 
     group = inst["sp4"]
     spec = group.spec
@@ -348,8 +349,8 @@ def _chk_sp4_membership(cfg, rng, inst):
         g = identity4(ctx)
         for _ in range(6):
             slot = rng.randrange(1, 5)
-            dom = spec.K0 if slot in (1, 3) else spec.L0
-            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), dom.rand_element(rng))
+            c = slot_domain(spec, slot).rand_element(rng)
+            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[slot]), c)
         m = group.membership(g, bound=cfg.bound)
         if m.verdict != "yes":
             raise _Fail("in-domain product not recognized",
@@ -365,14 +366,13 @@ def _chk_sp4_membership(cfg, rng, inst):
 
 def _chk_sp4_witness(cfg, rng, inst):
     from .sp4 import (SLOT_ROOT, Sp4Root, chevalley_gen, perfectness_witness_sp4,
-                      torus_matrix)
+                      slot_domain, torus_matrix)
 
     group = inst["sp4"]
     spec = group.spec
     for _ in range(max(8, cfg.samples // 4)):
         slot = rng.randrange(1, 5)
-        dom = spec.K0 if slot in (1, 3) else spec.L0
-        s = dom.rand_element(rng, nonzero=True)
+        s = slot_domain(spec, slot).rand_element(rng, nonzero=True)
         (sa, sb), sprime = perfectness_witness_sp4(slot, s, spec)
         h = torus_matrix(sa, sb)
         a1 = chevalley_gen(Sp4Root(SLOT_ROOT[slot]), sprime)
@@ -381,24 +381,15 @@ def _chk_sp4_witness(cfg, rng, inst):
                         {"slot": slot, "s": render_element(s)})
 
 
-def _chk_reconstruct_g2(cfg, rng, inst):
-    from .reconstruct import g2_recover, make_g2_oracle, verify_recovery
+def _chk_reconstruct(key, cfg, rng, inst):
+    from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
+                              verify_recovery)
 
-    oracle, codec = make_g2_oracle(inst["g2"])
-    rec = g2_recover(oracle)
-    rep = verify_recovery(rec, codec, n=max(6, cfg.samples // 4),
-                          seed=rng.randrange(2 ** 32))
-    if not rep.ok:
-        raise _Fail(f"{len(rep.mismatches)} mismatches",
-                    {"first": rep.mismatches[0]})
-
-
-def _chk_reconstruct_c2(cfg, rng, inst):
-    from .reconstruct import c2_recover, make_c2_oracle, verify_recovery
-
-    oracle, codec = make_c2_oracle(inst["c2"])
-    rec = c2_recover(oracle)
-    rep = verify_recovery(rec, codec, n=max(6, cfg.samples // 4),
+    datum = inst[key]
+    make = make_g2_oracle if datum.kind == "G2" else make_c2_oracle
+    recover = g2_recover if datum.kind == "G2" else c2_recover
+    oracle, codec = make(datum)
+    rep = verify_recovery(recover(oracle), codec, n=max(6, cfg.samples // 4),
                           seed=rng.randrange(2 ** 32))
     if not rep.ok:
         raise _Fail(f"{len(rep.mismatches)} mismatches",
@@ -433,8 +424,8 @@ _CHECKS: Dict[str, Callable] = {
     "sp4.bruhat-roundtrip": _chk_sp4_bruhat,
     "sp4.membership": _chk_sp4_membership,
     "sp4.witness": _chk_sp4_witness,
-    "reconstruct.g2": _chk_reconstruct_g2,
-    "reconstruct.c2": _chk_reconstruct_c2,
+    "reconstruct.g2": functools.partial(_chk_reconstruct, "g2"),
+    "reconstruct.c2": functools.partial(_chk_reconstruct, "c2"),
     "reconstruct.negative-control": _chk_reconstruct_negative,
 }
 

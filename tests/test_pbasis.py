@@ -207,3 +207,18 @@ def test_pbasis_answers_as_the_functions_do():
                 assert basis.combine(lam) == b == reconstruct(a, lam, CTX2)
     with pytest.raises(FieldError):
         PBasis((t,), CTX2).combine([CTX2.one()] * 3)
+
+
+def test_the_suite_roundtrip_builds_one_coordinate_system(monkeypatch):
+    from imperfect import _linalg, suite
+
+    built = []
+
+    class CountedColumnSpace(_linalg.ColumnSpace):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(_linalg, "ColumnSpace", CountedColumnSpace)
+    suite._chk_pbasis_roundtrip(suite.SuiteConfig(samples=24), random.Random(0), None)
+    assert built == [3, 8]  # the Jacobian span and the p^m system, once each

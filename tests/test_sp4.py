@@ -1,9 +1,10 @@
 import itertools
 import random
+from typing import Tuple
 
 import pytest
 
-from imperfect.field import Context, FieldError, poly_gcd
+from imperfect.field import Context, FieldError, RatFunc, poly_gcd
 from imperfect.presets import Bundle
 from imperfect.rank1 import Membership, TorusWitness, torus_membership
 from imperfect.rank1 import gen as sl2_gen
@@ -25,11 +26,10 @@ from imperfect.sp4 import (
     full_datum,
     identity4,
     is_symplectic,
-    mat_to_u,
     membership_psp4,
     perfectness_witness_sp4,
+    slot_domain,
     sp4_bruhat,
-    torus_coords,
     torus_matrix,
     torus_normalizer_check,
     u_to_mat,
@@ -71,6 +71,14 @@ def rand_word_matrix(spec, rng, length=6, torus=False):
         tau = spec.L0.rand_element(rng, nonzero=True)
         g = g * torus_matrix(ctx.one(), tau)
     return g
+
+
+def proper_tail_words():
+    """The 30 seeded indifferent-proper words on which sp4_bruhat has a slow tail."""
+    spec = proper_spec()
+    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
+    rng = random.Random(5)
+    return [rand_word_matrix(spec, rng, length=6, torus=True) * h for _ in range(30)]
 
 
 def rand_plain_word(ctx, rng, length=5):
@@ -115,6 +123,15 @@ def test_root_length_and_slots():
     assert {Sp4Root(SLOT_ROOT[i]).slot for i in (1, 2, 3, 4)} == {1, 2, 3, 4}
     with pytest.raises(SpecError):
         Sp4Root("gamma")
+
+
+def test_slot_domain_follows_root_length():
+    for spec in (line_spec(), proper_spec()):
+        for slot, name in SLOT_ROOT.items():
+            want = spec.K0 if Sp4Root(name).length == "short" else spec.L0
+            assert slot_domain(spec, slot) is want
+    spec = proper_spec()
+    assert spec.K0 is not spec.L0
 
 
 def test_generator_addition_in_root_groups():
@@ -325,7 +342,46 @@ def full_rank_pivot_rows(g):
 
 # sp4_bruhat as it was before the one-pass split: the chamber from the rank
 # pattern of lower-left blocks, then a triangular split of g * n_w^-1; kept
-# as the oracle for the one pass
+# as the oracle for the one pass, with the two extractions it reads its
+# answer through
+
+
+def torus_coords(g: Mat4) -> Tuple[RatFunc, RatFunc]:
+    """(s_alpha, s_beta) for a diagonal symplectic matrix."""
+    d = [g.rows[i][i] for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j and not g.rows[i][j].is_zero():
+                raise SpecError("matrix is not diagonal")
+    if not (d[0] * d[3]).is_one() or not (d[1] * d[2]).is_one():
+        raise InvariantViolation("diagonal is not in the symplectic torus")
+    return d[0], d[0] * d[1]
+
+
+def mat_to_u(m: Mat4) -> UElement:
+    """Coordinates of an upper unipotent symplectic matrix.
+
+    x1(t) x2(b) x3(c) x4(a) multiplies out to
+        [1, t, c+at, b+ct; 0, 1, a, c; 0, 0, 1, t; 0, 0, 0, 1]
+    and the extraction inverts that. Entries (0, 1), (1, 2) and (1, 3) give
+    t, a and c, and (0, 3) gives b: in characteristic 2, b + ct equals
+    r[0][3] for every b, so (2, 3) and (0, 2) are the only entries left to
+    test, and a mismatch there means the input was not in the image.
+    """
+    r = m.rows
+    for i in range(4):
+        if not r[i][i].is_one():
+            raise SpecError("matrix is not unipotent")
+        for j in range(i):
+            if not r[i][j].is_zero():
+                raise SpecError("matrix is not upper triangular")
+    t = r[0][1]
+    a = r[1][2]
+    c = r[1][3]
+    b = r[0][3] + c * t
+    if r[2][3] != t or r[0][2] != c + a * t:
+        raise SpecError("matrix is not in the positive unipotent subgroup")
+    return UElement(full_datum(m.ctx), (t, b, c, a))
 
 
 def old_pivot_rows(g: Mat4):
@@ -481,10 +537,7 @@ def test_minor_gcd_of_a_slow_word():
     # word 12 of the indifferent-proper draws: the numerators of its two
     # lower-left minors have 12 and 18 terms in three variables, and their gcd
     # is t^4; without the monomial split the PRS ran for seconds on them
-    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
-    rng = random.Random(5)
-    words = [rand_word_matrix(proper_spec(), rng, length=6, torus=True) * h for _ in range(13)]
-    g = words[12].rows
+    g = proper_tail_words()[12].rows
     delta1 = g[3][0]
     delta2 = g[2][0] * g[3][1] - g[2][1] * g[3][0]
     assert (len(delta1.num.terms), len(delta2.num.terms)) == (12, 18)
@@ -508,12 +561,31 @@ def test_sp4_bruhat_of_structured_elements():
 
 
 def test_sp4_bruhat_matches_oracle_on_proper_words():
-    # words 2, 12 and 23 of these draws take seconds on both procedures
-    spec = proper_spec()
-    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
-    rng = random.Random(5)
-    words = [rand_word_matrix(spec, rng, length=6, torus=True) * h for _ in range(30)]
-    assert_matches_oracle([g for k, g in enumerate(words) if k not in (2, 12, 23)])
+    # words 2 and 12 of these draws take seconds on both procedures; word 23
+    # has fractional entries
+    words = proper_tail_words()
+    assert any(not e.is_poly() for row in words[23].rows for e in row)
+    assert_matches_oracle([g for k, g in enumerate(words) if k not in (2, 12)])
+
+
+def test_the_reassembly_certifies_the_decomposition(monkeypatch):
+    honest = Bruhat4.to_matrix
+
+    def one_entry_off(self):
+        rows = [list(r) for r in honest(self).rows]
+        rows[0][3] = rows[0][3] + self.s_alpha.ctx.one()
+        return Mat4(self.s_alpha.ctx, rows)
+
+    t = CTX.var("t")
+    mats = [torus_matrix(t, CTX.one()) * weyl_rep(w, CTX) for w in WEYL_WORDS]
+    rng = random.Random(63)
+    mats += [rand_plain_word(CTX, rng) for _ in range(4)]
+    for g in mats:
+        sp4_bruhat(g)
+    monkeypatch.setattr(Bruhat4, "to_matrix", one_entry_off)
+    for g in mats:
+        with pytest.raises(InvariantViolation, match="decomposition does not reassemble"):
+            sp4_bruhat(g)
 
 
 def rand_fraction(ctx, rng):
