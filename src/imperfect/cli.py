@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Configs and reports are JSON; element strings use the canonical
-rendering, so every report value can be fed back into a subcommand.
+Each subcommand takes only the flags it reads. Configs and reports are
+JSON; element strings use the canonical rendering, so every report value
+can be fed back into a subcommand.
 Exit codes: 0 success, 1 validation or check failure, 2 parse or usage
 error.
 """
@@ -16,10 +17,12 @@ from typing import List, Optional
 from . import pbasis
 from .field import Context, ImperfectError, ParseError, parse_element, render_element
 from .presets import Bundle, preset_names
-from .rank1 import Mat2, bruhat2, Cell, membership_sl2L, perfectness_witness
+from .rank1 import (Mat2, bruhat2, Cell, factor_codim1, membership_sl2L,
+                    perfectness_witness)
 from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
                           negative_control, verify_recovery)
-from .tower import validate_indifferent, validate_tower
+from .sp4 import Mat4, sp4_bruhat, torus_normalizer_check
+from .tower import SubfieldSpec, validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, c2_datum, center_member, commutator,
                         g2_datum, parse_uword, torus_act, torus_normalizes,
                         u_mult, z2_member)
@@ -31,7 +34,7 @@ class _Usage(Exception):
 
 
 def _ctx_from(args) -> Context:
-    if getattr(args, "config", None):
+    if args.config:
         return Bundle.load(args.config).ctx
     names = [n.strip() for n in args.vars.split(",") if n.strip()]
     if not names:
@@ -39,18 +42,18 @@ def _ctx_from(args) -> Context:
     return Context(args.p, names)
 
 
-def _bundle(args) -> Bundle:
-    if not getattr(args, "config", None):
-        raise _Usage("this subcommand needs --config")
-    return Bundle.load(args.config)
-
-
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "report", None):
+    if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
+
+
+def _emit_membership(m, args) -> int:
+    _emit({"verdict": m.verdict, "reason": m.reason,
+           "witness": m.witness.to_json() if m.witness else None}, args)
+    return 0
 
 
 def _parse_matrix(text: str, ctx: Context, size: int) -> List["RatFunc"]:
@@ -60,16 +63,21 @@ def _parse_matrix(text: str, ctx: Context, size: int) -> List["RatFunc"]:
     return [parse_element(p, ctx) for p in parts]
 
 
+def _mat2(text: str, ctx: Context) -> Mat2:
+    return Mat2(ctx, *_parse_matrix(text, ctx, 4))
+
+
+def _mat4(text: str, ctx: Context) -> Mat4:
+    entries = _parse_matrix(text, ctx, 16)
+    return Mat4(ctx, [entries[i * 4:(i + 1) * 4] for i in range(4)])
+
+
 def _u_datum(args):
-    if getattr(args, "config", None):
+    if args.config:
         b = Bundle.load(args.config)
-        if args.kind == "g2":
-            return b.g2()
-        return b.c2()
+        return b.g2() if args.kind == "g2" else b.c2()
     ctx = _ctx_from(args)
     if args.kind == "g2":
-        from .tower import SubfieldSpec
-
         return g2_datum(ctx, SubfieldSpec("k", (), ctx))
     return c2_datum(ctx, None, None)
 
@@ -104,90 +112,91 @@ def _cmd_lambda(args) -> int:
     return 0
 
 
-def _cmd_validate(args, which: str) -> int:
-    b = _bundle(args)
-    if which == "tower":
-        if b.cfg.tower is None:
-            raise _Usage("configuration has no tower section")
-        rep = validate_tower(b.cfg.tower, sample_count=args.samples, seed=args.seed)
-    else:
-        if b.cfg.indifferent is None:
-            raise _Usage("configuration has no indifferent section")
-        rep = validate_indifferent(b.cfg.indifferent)
+def _cmd_tower_validate(args) -> int:
+    tower = Bundle.load(args.config).cfg.tower
+    if tower is None:
+        raise _Usage("configuration has no tower section")
+    rep = validate_tower(tower, sample_count=args.samples, seed=args.seed)
     _emit(rep.to_dict(), args)
     return 0 if rep.ok else 1
 
 
-def _cmd_sl2(args) -> int:
-    if args.action == "witness":
-        ctx = _ctx_from(args)
-        s = parse_element(args.s, ctx)
-        tau = parse_element(args.tau, ctx)
-        sprime = perfectness_witness(s, tau)
-        _emit({"s": render_element(s), "tau": render_element(tau),
-               "s_prime": render_element(sprime)}, args)
-        return 0
-    if args.action == "recover":
-        b = _bundle(args)
-        data = b.timmesfeld()
-        ctx = data.L.ctx
-        payload = {
-            "line_dim_over_Kp": len(data.L.basis),
-            "has_codim1": data.has_codim1,
-        }
-        if data.has_codim1:
-            from .rank1 import factor_codim1
+def _cmd_indifferent_validate(args) -> int:
+    spec = Bundle.load(args.config).cfg.indifferent
+    if spec is None:
+        raise _Usage("configuration has no indifferent section")
+    rep = validate_indifferent(spec)
+    _emit(rep.to_dict(), args)
+    return 0 if rep.ok else 1
 
-            payload["split"] = {
-                "K1_gens": [render_element(g) for g in data.K1.gens],
-                "u": render_element(data.u_coord),
-            }
-            basis = data.L.basis
-            tau = (basis[0] + basis[-1]) * (basis[0] + basis[1])
-            f1, f2 = factor_codim1(tau, data)
-            payload["sample_factorization"] = {
-                "tau": render_element(tau),
-                "factors": [render_element(f1), render_element(f2)],
-            }
-        _emit(payload, args)
-        return 0
 
-    ctx = Bundle.load(args.config).ctx if args.config else _ctx_from(args)
-    a, b_, c, d = _parse_matrix(args.matrix, ctx, 4)
-    g = Mat2(ctx, a, b_, c, d)
-    if args.action == "bruhat":
-        form = bruhat2(g)
-        if isinstance(form, Cell):
-            payload = {"cell": "big", "tau": render_element(form.tau),
-                       "s1": render_element(form.s1), "s2": render_element(form.s2)}
-        else:
-            payload = {"cell": "upper", "tau": render_element(form.tau),
-                       "s": render_element(form.s)}
-        _emit(payload, args)
-        return 0
-    # member
-    data = _bundle(args).timmesfeld()
-    m = membership_sl2L(g, data, bound=args.bound)
-    _emit({"verdict": m.verdict, "reason": m.reason,
-           "witness": m.witness.to_json() if m.witness else None}, args)
+def _cmd_sl2_bruhat(args) -> int:
+    form = bruhat2(_mat2(args.matrix, _ctx_from(args)))
+    if isinstance(form, Cell):
+        payload = {"cell": "big", "tau": render_element(form.tau),
+                   "s1": render_element(form.s1), "s2": render_element(form.s2)}
+    else:
+        payload = {"cell": "upper", "tau": render_element(form.tau),
+                   "s": render_element(form.s)}
+    _emit(payload, args)
     return 0
 
 
-def _cmd_u(args) -> int:
+def _cmd_sl2_member(args) -> int:
+    b = Bundle.load(args.config)
+    g = _mat2(args.matrix, b.ctx)
+    return _emit_membership(membership_sl2L(g, b.timmesfeld(), bound=args.bound), args)
+
+
+def _cmd_sl2_witness(args) -> int:
+    ctx = _ctx_from(args)
+    s = parse_element(args.s, ctx)
+    tau = parse_element(args.tau, ctx)
+    sprime = perfectness_witness(s, tau)
+    _emit({"s": render_element(s), "tau": render_element(tau),
+           "s_prime": render_element(sprime)}, args)
+    return 0
+
+
+def _cmd_sl2_recover(args) -> int:
+    data = Bundle.load(args.config).timmesfeld()
+    payload = {
+        "line_dim_over_Kp": len(data.L.basis),
+        "has_codim1": data.has_codim1,
+    }
+    if data.has_codim1:
+        payload["split"] = {
+            "K1_gens": [render_element(g) for g in data.K1.gens],
+            "u": render_element(data.u_coord),
+        }
+        basis = data.L.basis
+        tau = (basis[0] + basis[-1]) * (basis[0] + basis[1])
+        f1, f2 = factor_codim1(tau, data)
+        payload["sample_factorization"] = {
+            "tau": render_element(tau),
+            "factors": [render_element(f1), render_element(f2)],
+        }
+    _emit(payload, args)
+    return 0
+
+
+def _cmd_u_product(args) -> int:
     datum = _u_datum(args)
-    x = parse_uword(args.words[0], datum)
-    if args.action in ("mult", "comm"):
-        if len(args.words) != 2:
-            raise _Usage(f"u {args.action} needs two word arguments")
-        y = parse_uword(args.words[1], datum)
-        out = u_mult(x, y) if args.action == "mult" else commutator(x, y)
-        print(repr(out))
-        return 0
-    if args.action == "center":
-        _emit({"word": repr(x), "center": center_member(x),
-               "second_center": z2_member(x)}, args)
-        return 0
-    # act
+    x, y = (parse_uword(w, datum) for w in args.words)
+    print(repr(u_mult(x, y) if args.action == "mult" else commutator(x, y)))
+    return 0
+
+
+def _cmd_u_center(args) -> int:
+    x = parse_uword(args.word, _u_datum(args))
+    _emit({"word": repr(x), "center": center_member(x),
+           "second_center": z2_member(x)}, args)
+    return 0
+
+
+def _cmd_u_act(args) -> int:
+    datum = _u_datum(args)
+    x = parse_uword(args.word, datum)
     ctx = datum.ctx
     h = TorusElement2(parse_element(args.alpha, ctx), parse_element(args.beta, ctx))
     _emit({"word": repr(x), "image": repr(torus_act(h, x)),
@@ -195,47 +204,34 @@ def _cmd_u(args) -> int:
     return 0
 
 
-def _cmd_sp4(args) -> int:
-    from .sp4 import Mat4, sp4_bruhat, torus_normalizer_check
+def _cmd_sp4_bruhat(args) -> int:
+    br = sp4_bruhat(_mat4(args.matrix, _ctx_from(args)))
+    _emit({"u1": repr(br.u1), "word": br.word,
+           "s_alpha": render_element(br.s_alpha),
+           "s_beta": render_element(br.s_beta),
+           "u2": repr(br.u2)}, args)
+    return 0
 
-    if args.action == "torus-check":
-        b = _bundle(args)
-        spec = b.cfg.indifferent
-        if spec is None:
-            raise _Usage("configuration has no indifferent section")
-        ctx = spec.ctx
-        ok = torus_normalizer_check(parse_element(args.alpha, ctx),
-                                    parse_element(args.beta, ctx), spec)
-        _emit({"normalizes": ok}, args)
-        return 0
 
-    if args.config:
-        b = _bundle(args)
-        ctx = b.ctx
-    else:
-        b = None
-        ctx = _ctx_from(args)
-    entries = _parse_matrix(args.matrix, ctx, 16)
-    g = Mat4(ctx, [entries[i * 4:(i + 1) * 4] for i in range(4)])
-    if args.action == "bruhat":
-        br = sp4_bruhat(g)
-        _emit({"u1": repr(br.u1), "word": br.word,
-               "s_alpha": render_element(br.s_alpha),
-               "s_beta": render_element(br.s_beta),
-               "u2": repr(br.u2)}, args)
-        return 0
-    # member
-    if b is None:
-        raise _Usage("sp4 member needs --config")
-    group = b.sp4()
-    m = group.membership(g, bound=args.bound)
-    _emit({"verdict": m.verdict, "reason": m.reason,
-           "witness": m.witness.to_json() if m.witness else None}, args)
+def _cmd_sp4_member(args) -> int:
+    b = Bundle.load(args.config)
+    g = _mat4(args.matrix, b.ctx)
+    return _emit_membership(b.sp4().membership(g, bound=args.bound), args)
+
+
+def _cmd_sp4_torus_check(args) -> int:
+    spec = Bundle.load(args.config).cfg.indifferent
+    if spec is None:
+        raise _Usage("configuration has no indifferent section")
+    ctx = spec.ctx
+    ok = torus_normalizer_check(parse_element(args.alpha, ctx),
+                                parse_element(args.beta, ctx), spec)
+    _emit({"normalizes": ok}, args)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    b = _bundle(args)
+    b = Bundle.load(args.config)
     datum = b.g2() if args.kind == "g2" else b.c2()
     if args.corrupt:
         rep = negative_control(datum, args.corrupt, n=args.samples, seed=args.seed)
@@ -262,101 +258,110 @@ def _cmd_suite(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each leaf subcommand declares the flag groups its body reads
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, config=True):
+_CONFIG_HELP = "preset name or JSON file: one of " + ", ".join(preset_names()) + ", or a path"
+
+
+def _field(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", type=int, default=2, help="field characteristic")
     p.add_argument("--vars", default="t,u", help="comma-separated variable names")
-    if config:
-        p.add_argument("--config", help="preset name or JSON file: one of "
-                       + ", ".join(preset_names()) + ", or a path")
+    p.add_argument("--config", help=_CONFIG_HELP)
+
+
+def _config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help=_CONFIG_HELP)
+
+
+def _report(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--report", help="also write the JSON output to this file")
+
+
+def _sampling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=30)
+
+
+def _bound(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--report", help="also write the JSON output to this file")
+
+
+def _branch(sub, name: str, help: str):
+    return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+
+def _leaf(sub, name: str, run, *groups, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    for add in groups:
+        add(p)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="imperfect")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("field", help="evaluate element expressions")
-    fs = p.add_subparsers(dest="action", required=True)
-    pe = fs.add_parser("eval")
-    pe.add_argument("expr")
-    _add_common(pe)
+    fs = _branch(sub, "field", "evaluate element expressions")
+    _leaf(fs, "eval", _cmd_field_eval, _field).add_argument("expr")
 
-    p = sub.add_parser("lambda", help="coordinates relative to a p-independent tuple")
+    p = _leaf(sub, "lambda", _cmd_lambda, _field, _report,
+              help="coordinates relative to a p-independent tuple")
     p.add_argument("expr")
     p.add_argument("--tuple", help="comma-separated tuple elements (default: the variables)")
-    _add_common(p)
 
-    p = sub.add_parser("tower", help="validate subfield tower configurations")
-    ts = p.add_subparsers(dest="action", required=True)
-    tv = ts.add_parser("validate")
-    tv.add_argument("config_pos", nargs="?", help="config (positional alternative)")
-    _add_common(tv)
+    ts = _branch(sub, "tower", "validate subfield tower configurations")
+    p = _leaf(ts, "validate", _cmd_tower_validate, _sampling, _report)
+    p.add_argument("config", help=_CONFIG_HELP)
 
-    p = sub.add_parser("indifferent", help="validate indifferent-set configurations")
-    is_ = p.add_subparsers(dest="action", required=True)
-    iv = is_.add_parser("validate")
-    iv.add_argument("config_pos", nargs="?")
-    _add_common(iv)
+    is_ = _branch(sub, "indifferent", "validate indifferent-set configurations")
+    p = _leaf(is_, "validate", _cmd_indifferent_validate, _report)
+    p.add_argument("config", help=_CONFIG_HELP)
 
-    p = sub.add_parser("sl2", help="rank-1 normal forms and membership")
-    ss = p.add_subparsers(dest="action", required=True)
-    sb = ss.add_parser("bruhat")
-    sb.add_argument("--matrix", required=True, help="4 semicolon-separated entries")
-    _add_common(sb)
-    sm = ss.add_parser("member")
-    sm.add_argument("--matrix", required=True)
-    _add_common(sm)
-    sw = ss.add_parser("witness")
-    sw.add_argument("--s", required=True, dest="s")
-    sw.add_argument("--tau", required=True)
-    _add_common(sw)
-    sr = ss.add_parser("recover")
-    _add_common(sr)
+    ss = _branch(sub, "sl2", "rank-1 normal forms and membership")
+    p = _leaf(ss, "bruhat", _cmd_sl2_bruhat, _field, _report)
+    p.add_argument("--matrix", required=True, help="4 semicolon-separated entries")
+    p = _leaf(ss, "member", _cmd_sl2_member, _config, _bound, _report)
+    p.add_argument("--matrix", required=True, help="4 semicolon-separated entries")
+    p = _leaf(ss, "witness", _cmd_sl2_witness, _field, _report)
+    p.add_argument("--s", required=True, dest="s")
+    p.add_argument("--tau", required=True)
+    _leaf(ss, "recover", _cmd_sl2_recover, _config, _report)
 
-    p = sub.add_parser("u", help="unipotent group words")
-    us = p.add_subparsers(dest="action", required=True)
-    for name, nwords in (("mult", 2), ("comm", 2), ("center", 1)):
-        up = us.add_parser(name)
-        up.add_argument("words", nargs=nwords if nwords == 1 else "+")
-        up.add_argument("--kind", choices=("g2", "c2"), required=True)
-        _add_common(up)
-    ua = us.add_parser("act")
-    ua.add_argument("words", nargs=1)
-    ua.add_argument("--kind", choices=("g2", "c2"), required=True)
-    ua.add_argument("--alpha", required=True, help="short-root torus coordinate")
-    ua.add_argument("--beta", required=True, help="long-root torus coordinate")
-    _add_common(ua)
+    us = _branch(sub, "u", "unipotent group words")
+    for name in ("mult", "comm"):
+        p = _leaf(us, name, _cmd_u_product, _field)
+        p.add_argument("words", nargs=2)
+        p.add_argument("--kind", choices=("g2", "c2"), required=True)
+    p = _leaf(us, "center", _cmd_u_center, _field, _report)
+    p.add_argument("word")
+    p.add_argument("--kind", choices=("g2", "c2"), required=True)
+    p = _leaf(us, "act", _cmd_u_act, _field, _report)
+    p.add_argument("word")
+    p.add_argument("--kind", choices=("g2", "c2"), required=True)
+    p.add_argument("--alpha", required=True, help="short-root torus coordinate")
+    p.add_argument("--beta", required=True, help="long-root torus coordinate")
 
-    p = sub.add_parser("sp4", help="symplectic cells, membership, torus checks")
-    ps = p.add_subparsers(dest="action", required=True)
-    pb = ps.add_parser("bruhat")
-    pb.add_argument("--matrix", required=True, help="16 semicolon-separated entries")
-    _add_common(pb)
-    pm = ps.add_parser("member")
-    pm.add_argument("--matrix", required=True)
-    _add_common(pm)
-    pt = ps.add_parser("torus-check")
-    pt.add_argument("--alpha", required=True)
-    pt.add_argument("--beta", required=True)
-    _add_common(pt)
+    ps = _branch(sub, "sp4", "symplectic cells, membership, torus checks")
+    p = _leaf(ps, "bruhat", _cmd_sp4_bruhat, _field, _report)
+    p.add_argument("--matrix", required=True, help="16 semicolon-separated entries")
+    p = _leaf(ps, "member", _cmd_sp4_member, _config, _bound, _report)
+    p.add_argument("--matrix", required=True, help="16 semicolon-separated entries")
+    p = _leaf(ps, "torus-check", _cmd_sp4_torus_check, _config, _report)
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--beta", required=True)
 
-    p = sub.add_parser("reconstruct", help="recover field data from the group oracle")
+    p = _leaf(sub, "reconstruct", _cmd_reconstruct, _config, _sampling, _report,
+              help="recover field data from the group oracle")
     p.add_argument("kind", choices=("g2", "c2"))
     p.add_argument("--corrupt", choices=("wrong-param", "offset-mul", "reversed-mul"),
                    help="run the corrupted-oracle negative control")
-    _add_common(p)
 
-    p = sub.add_parser("suite", help="run the seeded property suite")
-    qs = p.add_subparsers(dest="action", required=True)
-    qr = qs.add_parser("run")
-    _add_common(qr)
+    qs = _branch(sub, "suite", "run the seeded property suite")
+    p = _leaf(qs, "run", _cmd_suite, _sampling, _bound, _report)
+    p.add_argument("--config", help=_CONFIG_HELP)
 
     return ap
 
@@ -367,29 +372,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # positional config alternative for the validate commands
-    if getattr(args, "config_pos", None) and not getattr(args, "config", None):
-        args.config = args.config_pos
     try:
-        if args.cmd == "field":
-            return _cmd_field_eval(args)
-        if args.cmd == "lambda":
-            return _cmd_lambda(args)
-        if args.cmd == "tower":
-            return _cmd_validate(args, "tower")
-        if args.cmd == "indifferent":
-            return _cmd_validate(args, "indifferent")
-        if args.cmd == "sl2":
-            return _cmd_sl2(args)
-        if args.cmd == "u":
-            return _cmd_u(args)
-        if args.cmd == "sp4":
-            return _cmd_sp4(args)
-        if args.cmd == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.cmd == "suite":
-            return _cmd_suite(args)
-        raise _Usage(f"unknown command {args.cmd}")
+        return args.run(args)
     except (ParseError, _Usage) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

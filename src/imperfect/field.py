@@ -504,12 +504,7 @@ def _pseudo_rem(fc: dict, gc: dict, ctx: Context) -> dict:
         df = max(fd)
         lf = fd[df]
         shiftn = df - dg
-        new: dict = {}
-        degrees = set()
-        for d, c in fd.items():
-            degrees.add(d)
-        for d in degrees:
-            new[d] = fd[d] * lg
+        new = {d: c * lg for d, c in fd.items()}
         for d, c in gc.items():
             t = c * lf
             nd = d + shiftn
@@ -764,13 +759,6 @@ def render_poly(poly: SparsePoly) -> str:
     return "+".join(parts)
 
 
-def _needs_parens_as_factor(poly: SparsePoly) -> bool:
-    if len(poly.terms) > 1:
-        return True
-    rendered = render_poly(poly)
-    return "*" in rendered
-
-
 def render_element(a: RatFunc) -> str:
     """Canonical rendering: graded-lex descending terms, one '/' when reduced den != 1."""
     if a.den.is_one():
@@ -779,7 +767,7 @@ def render_element(a: RatFunc) -> str:
     if len(a.num.terms) > 1:
         num_s = f"({num_s})"
     den_s = render_poly(a.den)
-    if _needs_parens_as_factor(a.den):
+    if "+" in den_s or "*" in den_s:  # coefficients render unsigned: "+" means several terms
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 
 from .field import Context, RatFunc, parse_element
 from .rank1 import TimmesfeldData
+from .sp4 import StructureData, build_group_from_M
 from .tower import Config, SpecError
 from .unipotent import RootDatum2, c2_datum, g2_datum
 
@@ -158,8 +159,6 @@ class Bundle:
         return c2_datum(self.ctx, spec.K0, spec.L0)
 
     def sp4(self):
-        from .sp4 import StructureData, build_group_from_M
-
         spec = self.cfg.indifferent
         if spec is None:
             raise SpecError("configuration has no indifferent section")

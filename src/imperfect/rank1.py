@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .field import Context, FieldError, RatFunc, render_element
+from .field import Context, FieldError, RatFunc, parse_element, render_element
 from .tower import RSpaceSpec, SpecError, SubfieldSpec
 
 
@@ -94,8 +94,6 @@ class Mat2:
 
     @staticmethod
     def parse(text: str, ctx: Context) -> "Mat2":
-        from .field import parse_element
-
         parts = text.split(";")
         if len(parts) != 4:
             raise SpecError("matrix syntax is 'a;b;c;d'")

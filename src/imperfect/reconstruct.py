@@ -20,6 +20,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .field import ImperfectError, RatFunc, render_element
+from .sp4 import (Sp4Root, SLOT_ROOT, chevalley_gen, identity4, slot_domain,
+                  sp4_bruhat, torus_matrix, weyl_rep)
 from .tower import SpecError
 from .unipotent import RootDatum2, UElement, u_inverse, u_mult
 
@@ -68,12 +70,6 @@ class Codec:
 
     def from_coord(self, slot: int, c: RatFunc) -> OpaqueElem:
         return OpaqueElem(self.datum.generator(slot, c))
-
-    def wrap(self, u: UElement) -> OpaqueElem:
-        return OpaqueElem(u)
-
-    def read(self, x: OpaqueElem) -> UElement:
-        return x._u
 
     def line_coord(self, x: OpaqueElem, slot: int) -> Optional[RatFunc]:
         u = x._u
@@ -647,9 +643,6 @@ def cc_experiment(root: int, group, samples: int = 24, seed: int = 0) -> dict:
     are then checked to lie on the root line. The result is evidence, not
     proof: a report of confirmations and exclusions.
     """
-    from .sp4 import (Sp4Root, SLOT_ROOT, chevalley_gen, identity4, slot_domain,
-                      sp4_bruhat, torus_matrix, weyl_rep)
-
     if root not in (2, 4):
         raise SpecError("the experiment is set up for the long slots 2 and 4")
     spec = group.spec

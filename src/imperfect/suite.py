@@ -21,6 +21,10 @@ from .presets import Bundle
 from .rank1 import (bruhat2, factor_codim1, field_structure, gen, mult_bruhat,
                     perfectness_witness, rand_L_element, rand_L_word,
                     torus_membership)
+from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
+                          negative_control, verify_recovery)
+from .sp4 import (SLOT_ROOT, Sp4Root, chevalley_gen, identity4, perfectness_witness_sp4,
+                  slot_domain, sp4_bruhat, torus_matrix, weyl_rep)
 from .tower import validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, torus_act, u_inverse, u_mult, u_mult_alt,
                         z2_member, center_member)
@@ -321,8 +325,6 @@ def _chk_unipotent_torus(cfg, rng, inst):
 
 
 def _chk_sp4_bruhat(cfg, rng, inst):
-    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, slot_domain, sp4_bruhat, weyl_rep
-
     group = inst["sp4"]
     spec = group.spec
     ctx = spec.ctx
@@ -340,8 +342,6 @@ def _chk_sp4_bruhat(cfg, rng, inst):
 
 
 def _chk_sp4_membership(cfg, rng, inst):
-    from .sp4 import SLOT_ROOT, Sp4Root, chevalley_gen, identity4, slot_domain
-
     group = inst["sp4"]
     spec = group.spec
     ctx = spec.ctx
@@ -365,9 +365,6 @@ def _chk_sp4_membership(cfg, rng, inst):
 
 
 def _chk_sp4_witness(cfg, rng, inst):
-    from .sp4 import (SLOT_ROOT, Sp4Root, chevalley_gen, perfectness_witness_sp4,
-                      slot_domain, torus_matrix)
-
     group = inst["sp4"]
     spec = group.spec
     for _ in range(max(8, cfg.samples // 4)):
@@ -382,9 +379,6 @@ def _chk_sp4_witness(cfg, rng, inst):
 
 
 def _chk_reconstruct(key, cfg, rng, inst):
-    from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
-                              verify_recovery)
-
     datum = inst[key]
     make = make_g2_oracle if datum.kind == "G2" else make_c2_oracle
     recover = g2_recover if datum.kind == "G2" else c2_recover
@@ -397,8 +391,6 @@ def _chk_reconstruct(key, cfg, rng, inst):
 
 
 def _chk_reconstruct_negative(cfg, rng, inst):
-    from .reconstruct import negative_control
-
     for key, corruption in (("g2", "wrong-param"), ("g2", "offset-mul"),
                             ("c2", "wrong-param"), ("c2", "offset-mul")):
         rep = negative_control(inst[key], corruption, n=5, seed=3)

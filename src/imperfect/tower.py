@@ -15,7 +15,6 @@ field generated by L0, and optionally that K0 generates the ambient field.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -523,66 +522,56 @@ class Config:
     rspaces: Dict[str, RSpaceSpec]
     tower: Optional[TowerSpec]
     indifferent: Optional[IndifferentSpec]
-    timmesfeld: Optional[dict]  # raw section; rank1 interprets it
 
     @staticmethod
-    def load(source) -> "Config":
-        if isinstance(source, (str, bytes)):
-            with open(source) as fh:
-                raw = json.load(fh)
-        else:
-            raw = source
-        return config_from_dict(raw)
+    def load(raw: dict) -> "Config":
+        """Parse a configuration dict; `presets.Bundle.load` reads files and presets."""
+        try:
+            p = int(raw["p"])
+            var_names = list(raw["vars"])
+        except KeyError as e:
+            raise SpecError(f"config missing key {e}")
+        ctx = Context(p, var_names)
 
+        def parse(s: str) -> RatFunc:
+            return parse_element(s, ctx)
 
-def config_from_dict(raw: dict) -> Config:
-    try:
-        p = int(raw["p"])
-        var_names = list(raw["vars"])
-    except KeyError as e:
-        raise SpecError(f"config missing key {e}")
-    ctx = Context(p, var_names)
+        subfields: Dict[str, SubfieldSpec] = {"Kp": SubfieldSpec("Kp", (), ctx)}
+        for sf in raw.get("subfields", []):
+            name = sf["name"]
+            subfields[name] = SubfieldSpec(name, [parse(g) for g in sf.get("gens", [])], ctx)
 
-    def parse(s: str) -> RatFunc:
-        return parse_element(s, ctx)
+        rspaces: Dict[str, RSpaceSpec] = {}
+        ordered_r: List[RSpaceSpec] = []
+        ordered_f: List[SubfieldSpec] = []
+        for rs in raw.get("rspaces", []):
+            name = rs["name"]
+            over_name = rs.get("over", "Kp")
+            if over_name not in subfields:
+                raise SpecError(f"unknown subfield {over_name!r}", name)
+            over = subfields[over_name]
+            space = RSpaceSpec(name, over, [parse(b) for b in rs["basis"]])
+            rspaces[name] = space
+            ordered_r.append(space)
+            ordered_f.append(over)
 
-    subfields: Dict[str, SubfieldSpec] = {"Kp": SubfieldSpec("Kp", (), ctx)}
-    for sf in raw.get("subfields", []):
-        name = sf["name"]
-        subfields[name] = SubfieldSpec(name, [parse(g) for g in sf.get("gens", [])], ctx)
+        tower = TowerSpec(ctx, ordered_f, ordered_r) if ordered_r else None
 
-    rspaces: Dict[str, RSpaceSpec] = {}
-    ordered_r: List[RSpaceSpec] = []
-    ordered_f: List[SubfieldSpec] = []
-    for rs in raw.get("rspaces", []):
-        name = rs["name"]
-        over_name = rs.get("over", "Kp")
-        if over_name not in subfields:
-            raise SpecError(f"unknown subfield {over_name!r}", name)
-        over = subfields[over_name]
-        space = RSpaceSpec(name, over, [parse(b) for b in rs["basis"]])
-        rspaces[name] = space
-        ordered_r.append(space)
-        ordered_f.append(over)
+        indifferent = None
+        if "indifferent" in raw:
+            sec = raw["indifferent"]
+            indifferent = IndifferentSpec(
+                ctx,
+                [parse(b) for b in sec["L0"]["basis"]],
+                [parse(g) for g in sec["K0"].get("over_field_gens", [])],
+                [parse(b) for b in sec["K0"]["basis"]],
+                weak=bool(sec.get("weak", True)),
+            )
 
-    tower = TowerSpec(ctx, ordered_f, ordered_r) if ordered_r else None
-
-    indifferent = None
-    if "indifferent" in raw:
-        sec = raw["indifferent"]
-        indifferent = IndifferentSpec(
-            ctx,
-            [parse(b) for b in sec["L0"]["basis"]],
-            [parse(g) for g in sec["K0"].get("over_field_gens", [])],
-            [parse(b) for b in sec["K0"]["basis"]],
-            weak=bool(sec.get("weak", True)),
+        return Config(
+            ctx=ctx,
+            subfields=subfields,
+            rspaces=rspaces,
+            tower=tower,
+            indifferent=indifferent,
         )
-
-    return Config(
-        ctx=ctx,
-        subfields=subfields,
-        rspaces=rspaces,
-        tower=tower,
-        indifferent=indifferent,
-        timmesfeld=raw.get("timmesfeld"),
-    )

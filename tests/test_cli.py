@@ -1,5 +1,9 @@
+import argparse
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 from imperfect import cli, suite
 from imperfect.cli import main
@@ -367,6 +371,14 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    # a missing required --config, or a word count other than two
+    for argv in (["sl2", "member", "--matrix", "1;t;0;1"],
+                 ["sp4", "torus-check", "--alpha", "1", "--beta", "v"],
+                 ["reconstruct", "g2"],
+                 ["u", "mult", "--kind", "c2", "x1(t)"],
+                 ["u", "comm", "--kind", "c2", "x1(t)", "x4(u)", "x1(t)"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_help_exits_zero(capsys):
@@ -374,3 +386,70 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["sl2", "--help"]) == 0
     capsys.readouterr()
+
+
+FIELD = {"-p", "--vars", "--config"}
+SAMPLING = {"--seed", "--samples"}
+
+# leaf subcommand -> the flags its body reads, and no other
+LEAF_FLAGS = {
+    ("field", "eval"): FIELD,
+    ("lambda",): FIELD | {"--tuple", "--report"},
+    ("tower", "validate"): SAMPLING | {"--report"},
+    ("indifferent", "validate"): {"--report"},
+    ("sl2", "bruhat"): FIELD | {"--matrix", "--report"},
+    ("sl2", "member"): {"--matrix", "--config", "--bound", "--report"},
+    ("sl2", "witness"): FIELD | {"--s", "--tau", "--report"},
+    ("sl2", "recover"): {"--config", "--report"},
+    ("u", "mult"): FIELD | {"--kind"},
+    ("u", "comm"): FIELD | {"--kind"},
+    ("u", "center"): FIELD | {"--kind", "--report"},
+    ("u", "act"): FIELD | {"--kind", "--alpha", "--beta", "--report"},
+    ("sp4", "bruhat"): FIELD | {"--matrix", "--report"},
+    ("sp4", "member"): {"--matrix", "--config", "--bound", "--report"},
+    ("sp4", "torus-check"): {"--alpha", "--beta", "--config", "--report"},
+    ("reconstruct",): SAMPLING | {"--config", "--corrupt", "--report"},
+    ("suite", "run"): SAMPLING | {"--config", "--bound", "--report"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    flags = {path: {a.option_strings[0] for a in p._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
+             for path, p in _leaf_parsers(cli.build_parser())}
+    assert flags == LEAF_FLAGS
+    assert sum(len(f) for f in flags.values()) == 72
+
+
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    for argv in (["field", "eval", "t", "--report", str(report)],
+                 ["u", "mult", "--kind", "c2", "x1(t)", "x4(u)", "--report", str(report)],
+                 ["tower", "validate", "--config", "tower-simple"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err or "required" in err
+    assert not report.exists()
+
+
+def test_the_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("imperfect ")]
+    assert len(commands) == 16
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert json.loads((tmp_path / "report.json").read_text())["ok"] is True

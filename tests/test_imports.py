@@ -20,6 +20,11 @@ and rebinding `.terms` outside an __init__.
 
 Only pbasis names `p_monomial`: everywhere else a tuple's p-monomials are
 read from its PBasis, which builds them once.
+
+No package import hides inside a function, except the one that breaks a
+real cycle: tower's `IndifferentSpec.torus_data` imports `_torus_data` from
+sp4, which imports tower. Every other module is imported at module level,
+so what a module depends on shows at its top.
 """
 
 import ast
@@ -215,3 +220,47 @@ def test_the_scan_sees_p_monomial():
         "    from .pbasis import monomial_exponents, p_monomial as pm\n"
     )
     assert sorted(p_monomial_references(tree)) == [1, 2, 3, 6]
+
+
+# (module, function, imported module) of the one function-level import allowed
+CYCLE_IMPORTS = {("tower.py", "torus_data", "sp4")}
+
+
+def function_level_imports(tree):
+    """(innermost function, imported module, line) for every relative import in a function."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if func and isinstance(child, ast.ImportFrom) and child.level > 0:
+                out.append((func, child.module, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return out
+
+
+def test_no_package_import_hides_inside_a_function():
+    found = {(path.name, name, module) for path in ALL_MODULES
+             for name, module, _ in function_level_imports(
+                 ast.parse(path.read_text(), filename=str(path)))}
+    assert found == CYCLE_IMPORTS
+
+
+def test_the_scan_sees_a_function_level_import():
+    tree = ast.parse(
+        "from .field import parse_element\n"
+        "import json\n"
+        "def f():\n"
+        "    from .sp4 import Mat4\n"
+        "    import re\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        if self:\n"
+        "            from . import pbasis\n"
+        "        from json import dumps\n"
+        "        def h():\n"
+        "            from .tower import Config\n"
+    )
+    assert function_level_imports(tree) == [("f", "sp4", 4), ("g", None, 9), ("h", "tower", 12)]
