@@ -20,6 +20,7 @@ Conventions fixed here and relied on by the rest of the package:
 from __future__ import annotations
 
 import random
+import re
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
@@ -58,7 +59,7 @@ _ONE_TERMS = {0: 1}
 class Context:
     """Fixes the prime p and the variable names of one ambient field K."""
 
-    __slots__ = ("p", "names", "n", "_zero", "_one", "_gens")
+    __slots__ = ("p", "names", "n", "_keys", "_zero", "_one", "_gens")
 
     def __init__(self, p: int, names: Sequence[str]):
         if p not in (2, 3, 5):
@@ -74,6 +75,7 @@ class Context:
         self.p = p
         self.names = names
         self.n = len(names)
+        self._keys = dict(zip(names, _VAR))  # variable name -> monomial key
         self._zero = None
         self._one = None
         self._gens = None
@@ -127,9 +129,9 @@ class Context:
         return RatFunc(self, self.const_poly(c), self.const_poly(1))
 
     def var(self, name: str) -> "RatFunc":
-        if name not in self.names:
+        key = self._keys.get(name)
+        if key is None:
             raise FieldError(f"unknown variable {name!r}")
-        key = _VAR[self.names.index(name)]
         return RatFunc(self, SparsePoly(self, {key: 1}), self.const_poly(1), reduce=False)
 
     def gens(self) -> tuple:
@@ -887,7 +889,68 @@ class _Parser:
         raise ParseError(f"unexpected token {t[1]!r}", t[2])
 
 
+# a sum of monomials as render_poly prints them, '-' signs allowed: numbers and
+# variables with an optional power (ASCII only), '*' between the factors of a
+# term and '+' or '-' between terms
+_FACTOR = r"(?:[0-9]+|[A-Za-z](?:\^[0-9]+)?)"
+_TERMS = re.compile(rf"-?{_FACTOR}(?:[-+*]{_FACTOR})*")
+
+
+def _parse_terms(s: str, ctx: Context) -> Optional[RatFunc]:
+    """s read straight into packed terms, the key of each term summed from its
+    exponents; None when s is not a plain sum of monomials, or when one of
+    _Parser's checks could fire on it."""
+    if not _TERMS.fullmatch(s):
+        return None
+    p, keys = ctx.p, ctx._keys
+    out = {}
+    try:
+        for term in s.replace("-", "+-").split("+"):
+            if not term:  # before a leading '-'
+                continue
+            c, key = 1, 0
+            if term[0] == "-":
+                c, term = -1, term[1:]
+            for f in term.split("*"):
+                if f[0] in _DIGITS:
+                    c = c * int(f) % p
+                    continue
+                unit = keys.get(f[0])
+                if unit is None:
+                    return None
+                if len(f) == 1:
+                    key += unit
+                    continue
+                e = int(f[2:])
+                if e > MAX_POWER_DEGREE:
+                    return None
+                key += e * unit
+            # even a zero term: _Parser may raise on the partial products
+            if key >= _TOP:
+                return None
+            c = (out.get(key, 0) + c) % p
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    except ValueError:  # a number longer than the interpreter's integer string limit
+        return None
+    return RatFunc(ctx, SparsePoly(ctx, out), SparsePoly(ctx, {0: 1}), reduce=False)
+
+
 def parse_element(s: str, ctx: Context) -> RatFunc:
+    """The element of K that s denotes.
+
+    A plain sum of monomials, as render_poly prints it with '-' signs allowed
+    (no spaces, parentheses or '/'), is read straight into packed terms. Every
+    other text, and every text on which one of _Parser's checks could fire (an
+    unknown letter, a number too long for int(), a power over MAX_POWER_DEGREE,
+    a term whose degree reaches EXP_LIMIT), goes to _Parser, which evaluates it
+    with RatFunc arithmetic and raises ParseError or FieldError.
+    """
+    out = _parse_terms(s, ctx)
+    if out is not None:
+        return out
     p = _Parser(s, ctx)
     try:
         out = p.parse_expr()

@@ -1,7 +1,7 @@
 """Rank-one machinery: SL2 over an additive group L with K^2 <= L <= K.
 
 Matrices carry exact rational-function entries with determinant 1. The
-constructor Mat2(...), and so Mat2.parse and the CLI, checks it; products,
+constructor Mat2(...), and so the CLI's matrix parser, checks it; products,
 inverses, the identity and the generators are in SL2 by construction and skip it.
 Every element is put into Bruhat normal form (upper-triangular part
 h(tau)a(s), or big cell h(tau)a(s1)w a(s2)); multiplication of normal
@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .field import Context, FieldError, RatFunc, parse_element, render_element
+from .field import Context, FieldError, RatFunc, render_element
 from .tower import RSpaceSpec, SpecError, SubfieldSpec
 
 
@@ -91,14 +91,6 @@ class Mat2:
     @staticmethod
     def identity(ctx: Context) -> "Mat2":
         return Mat2._known(ctx, ctx.one(), ctx.zero(), ctx.zero(), ctx.one())
-
-    @staticmethod
-    def parse(text: str, ctx: Context) -> "Mat2":
-        parts = text.split(";")
-        if len(parts) != 4:
-            raise SpecError("matrix syntax is 'a;b;c;d'")
-        a, b, c, d = (parse_element(p.strip(), ctx) for p in parts)
-        return Mat2(ctx, a, b, c, d)
 
 
 def gen(kind: str, t: Optional[RatFunc], ctx: Context) -> Mat2:

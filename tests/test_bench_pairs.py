@@ -78,3 +78,28 @@ def test_runs_against_another_parent_are_not_merged(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 1
     assert old.read_text() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [".git", "BENCHMARK.json", "BENCH_t.json"]
+
+
+def test_each_pair_records_the_ops_of_both_sides(tmp_path, monkeypatch):
+    """peak_rss_mb grows with the ops a run completes, so each pair keeps them."""
+    spec = (TOOL.parents[1] / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(spec)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(
+        a, 0, stdout="abc1234\n"))
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    metrics = {m["name"]: 1.0 for m in json.loads(spec)["end_to_end"]}
+
+    def fake_run(checkout, workload, seed):
+        ops = 1000 * seed + (7 if checkout == tmp_path else 0)
+        return {"metrics": metrics, "digest": f"digest {seed}", "attempted": ops, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["--parent", "HEAD", "--workload", "matrix-words", "--seeds", "1,2", "--tag", "t"]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    got = doc["workloads"]["matrix-words"]
+    assert [pair["ops"] for pair in got["per_pair"]] == [
+        {"parent": 1000, "change": 1007}, {"parent": 2000, "change": 2007}]
+    assert [pair["first"] for pair in got["per_pair"]] == ["parent", "change"]
+    assert got["ops"]["change"] == {"attempted": 3014, "failed": 0}

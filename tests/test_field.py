@@ -251,6 +251,75 @@ def test_package_errors_share_one_base():
         assert issubclass(err, ImperfectError) and issubclass(err, builtin)
 
 
+def parse_outcome(s, ctx):
+    """The value parse_element gives, or its exception's type, message and pos."""
+    try:
+        return parse_element(s, ctx)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "pos", None)
+
+
+def rand_term_text(rng, ctx):
+    """A sum of monomials in the term syntax, not canonical: signs, repeated and
+    zero factors, numbers after variables, powers 0 to 5."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = [str(rng.randint(0, 12)) if rng.random() < 0.3
+                   else rng.choice(ctx.names) + (f"^{rng.randint(0, 5)}" if rng.random() < 0.5 else "")
+                   for _ in range(rng.randint(1, 4))]
+        terms.append("*".join(factors))
+    text = terms[0] if rng.random() < 0.7 else "-" + terms[0]
+    return text + "".join(rng.choice("+-") + t for t in terms[1:])
+
+
+TERM_EDGE_TEXTS = (
+    "-t", "t+t", "7*t", "2*3*t", "t^0", "0*t",
+    "t*2", "2^3",  # a number after a variable; a power of a number
+    f"t^{MAX_POWER_DEGREE}", f"t^{MAX_POWER_DEGREE + 1}",
+    "1" * 4300, "1" * 5000, "t+" + "2" * 5000, "t^" + "9" * 5000,
+    "é", "t+é*u", "z", "t u", " t", "t+", "+t", "-", "", "--t", "t+-u", "t^²", "٣*t",
+    "*".join([f"t^{MAX_POWER_DEGREE}"] * (EXP_LIMIT // MAX_POWER_DEGREE)),
+    "0*" + "*".join([f"t^{MAX_POWER_DEGREE}"] * (EXP_LIMIT // MAX_POWER_DEGREE)),
+    "*".join([f"t^{MAX_POWER_DEGREE}"] * (EXP_LIMIT // MAX_POWER_DEGREE - 1)) + "*t^255*u",
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_term_path_matches_the_parser(p, n, monkeypatch):
+    """Texts the term path reads give what _Parser gives: the same value, or the
+    same exception type, message and position."""
+    ctx = Context(p, ("t", "u", "v")[:n])
+    rng = random.Random(10 * p + n)
+    polys = [render_element(a) for a in rand_elems(ctx, 300 + p, 60, denominators=False)]
+    fractions = [render_element(a) for a in rand_elems(ctx, 400 + p, 60, max_deg=3)]
+    texts = [*polys, *fractions, *(rand_term_text(rng, ctx) for _ in range(200)), *TERM_EDGE_TEXTS]
+    assert all(field._parse_terms(s, ctx) is not None for s in polys)
+    got = [parse_outcome(s, ctx) for s in texts]
+    monkeypatch.setattr(field, "_parse_terms", lambda s, ctx: None)
+    want = [parse_outcome(s, ctx) for s in texts]
+    for s, g, w in zip(texts, got, want):
+        assert g == w, s[:80]
+    # both paths are exercised, and both kinds of outcome
+    assert sum(isinstance(w, RatFunc) for w in want) > len(polys)
+    assert sum(isinstance(w, tuple) for w in want) >= 10
+
+
+def test_parsing_a_polynomial_builds_one_ratfunc(monkeypatch):
+    ctx = Context(3, ("t", "u"))
+    calls = []
+    real = RatFunc.__init__
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    x = parse_element("2*t^3*u+t+1", ctx)
+    assert len(calls) == 1
+    assert x.num.by_exponents() == {(3, 1): 2, (1, 0): 1, (0, 0): 1} and x.is_poly()
+
+
 def test_division_by_zero_detected_through_parse():
     with pytest.raises(ParseError):
         parse_element("1/(t+t)", CTX2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from imperfect.cli import _Usage, _mat2
 from imperfect.field import Context, FieldError, frobenius
 from imperfect.presets import Bundle
 from imperfect.rank1 import (
@@ -89,13 +90,13 @@ def test_mat2_det_check_matches_reduced_fractions(p):
         entries = ";".join(map(str, (a, b, c, d)))
         if want:
             g = Mat2(ctx, a, b, c, d)
-            assert Mat2.parse(entries, ctx) == g
+            assert _mat2(entries, ctx) == g
             accepted += 1
         else:
             with pytest.raises(FieldError, match="determinant"):
                 Mat2(ctx, a, b, c, d)
             with pytest.raises(FieldError, match="determinant"):
-                Mat2.parse(entries, ctx)
+                _mat2(entries, ctx)
             rejected += 1
     assert accepted >= 40 and rejected >= 40
     with pytest.raises(FieldError, match="mixed"):
@@ -202,12 +203,16 @@ def test_bruhat_roundtrip_random():
 
 
 def test_bruhat_parse_example():
-    g = Mat2.parse("1;1;1;0", CTX2)
+    g = _mat2("1;1;1;0", CTX2)
     form = bruhat2(g)
     assert isinstance(form, Cell)
     assert form.tau.is_one()
     assert form.s1.is_one()
     assert form.s2.is_zero()
+    # a wrong entry count is the CLI's usage error
+    for text in ("1;1;1", "1;1;1;0;0"):
+        with pytest.raises(_Usage, match="4 semicolon-separated entries"):
+            _mat2(text, CTX2)
 
 
 def test_mult_bruhat_matches_matrices():

@@ -9,8 +9,10 @@ sides run `perfbench/run.py --workload NAME --seed N --trace 0`, the side that
 goes first alternating from pair to pair, each for BENCHMARK.json's
 run_seconds. The result is merged into BENCH_<tag>.json at the root of this
 checkout under workloads/NAME, so one file can hold several workloads:
-per-pair values, medians with [q1, q3] per side, wins per pair (ties count
-for neither side), the digest lines of both sides and the failed-op counts.
+per-pair values with the ops each side completed (perfbench keeps two floats
+per op, so peak_rss_mb grows with them), medians with [q1, q3] per side, wins
+per pair (ties count for neither side), the digest lines of both sides and the
+failed-op counts.
 A file holds runs against one parent commit only; merging runs against
 another is refused.
 """
@@ -133,7 +135,8 @@ def main(argv=None) -> int:
                 print(f"{args.workload} seed={seed} {side}: ops_per_s="
                       f"{runs[side]['metrics']['ops_per_s']:.1f}", file=sys.stderr)
             per_pair.append({"seed": seed, "first": order[0],
-                             **{side: runs[side]["metrics"] for side in SIDES}})
+                             **{side: runs[side]["metrics"] for side in SIDES},
+                             "ops": {side: runs[side]["attempted"] for side in SIDES}})
             digests.append({"seed": seed, **{side: runs[side]["digest"] for side in SIDES},
                             "equal": runs["parent"]["digest"] == runs["change"]["digest"]})
     finally:
