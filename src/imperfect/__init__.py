@@ -29,7 +29,7 @@ from .field import (
     render_element,
 )
 from .pbasis import is_p_independent, lambda_coords, reconstruct
-from .presets import Bundle, preset, preset_names, write_preset
+from .presets import Bundle, Config, preset, preset_names, write_preset
 from .rank1 import (
     Mat2,
     TimmesfeldData,
@@ -64,7 +64,6 @@ from .sp4 import (
 )
 from .suite import SuiteConfig, run_suite
 from .tower import (
-    Config,
     IndifferentSpec,
     InvariantViolation,
     RSpaceSpec,

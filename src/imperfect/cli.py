@@ -113,18 +113,14 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_tower_validate(args) -> int:
-    tower = Bundle.load(args.config).cfg.tower
-    if tower is None:
-        raise _Usage("configuration has no tower section")
+    tower = Bundle.load(args.config).need("tower")
     rep = validate_tower(tower, sample_count=args.samples, seed=args.seed)
     _emit(rep.to_dict(), args)
     return 0 if rep.ok else 1
 
 
 def _cmd_indifferent_validate(args) -> int:
-    spec = Bundle.load(args.config).cfg.indifferent
-    if spec is None:
-        raise _Usage("configuration has no indifferent section")
+    spec = Bundle.load(args.config).need("indifferent")
     rep = validate_indifferent(spec)
     _emit(rep.to_dict(), args)
     return 0 if rep.ok else 1
@@ -220,9 +216,7 @@ def _cmd_sp4_member(args) -> int:
 
 
 def _cmd_sp4_torus_check(args) -> int:
-    spec = Bundle.load(args.config).cfg.indifferent
-    if spec is None:
-        raise _Usage("configuration has no indifferent section")
+    spec = Bundle.load(args.config).need("indifferent")
     ctx = spec.ctx
     ok = torus_normalizer_check(parse_element(args.alpha, ctx),
                                 parse_element(args.beta, ctx), spec)
@@ -231,8 +225,7 @@ def _cmd_sp4_torus_check(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    b = Bundle.load(args.config)
-    datum = b.g2() if args.kind == "g2" else b.c2()
+    datum = _u_datum(args)
     if args.corrupt:
         rep = negative_control(datum, args.corrupt, n=args.samples, seed=args.seed)
     else:
@@ -377,10 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, _Usage) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: missing config: {e}", file=sys.stderr)
-        return 1
-    except ImperfectError as e:
+    except (ImperfectError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

@@ -68,7 +68,7 @@ class Context:
         if not 0 < len(names) <= 3:
             raise FieldError("between 1 and 3 variables are supported")
         for nm in names:
-            if len(nm) != 1 or not nm.isalpha():
+            if not isinstance(nm, str) or len(nm) != 1 or not nm.isalpha():
                 raise FieldError(f"variable names must be single letters, got {nm!r}")
         if len(set(names)) != len(names):
             raise FieldError("duplicate variable names")

@@ -435,9 +435,9 @@ def _instances(cfg: SuiteConfig) -> dict:
         if user.cfg.indifferent is not None:
             indifferents = [(str(cfg.config), user)]
             sp4b = user
-        if user.raw.get("timmesfeld"):
+        if user.cfg.timmesfeld is not None:
             timmesfeld = user
-        if user.raw.get("g2"):
+        if user.cfg.g2 is not None:
             g2b = user
     inst = {
         "towers": towers,

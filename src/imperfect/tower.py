@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
-from .field import Context, FieldError, ImperfectError, RatFunc, parse_element, prod, render_element
+from .field import Context, FieldError, ImperfectError, RatFunc, prod, render_element
 from .pbasis import LambdaCoords, PBasis, differential, is_p_independent, lambda_numerators
 
 
@@ -507,71 +507,3 @@ def validate_indifferent(spec: IndifferentSpec) -> ValidationReport:
     report.dims["[E0:K2]"] = spec.E0.dim_over_p
     return report
 
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Config:
-    """Parsed contents of a tower/indifferent JSON configuration."""
-
-    ctx: Context
-    subfields: Dict[str, SubfieldSpec]
-    rspaces: Dict[str, RSpaceSpec]
-    tower: Optional[TowerSpec]
-    indifferent: Optional[IndifferentSpec]
-
-    @staticmethod
-    def load(raw: dict) -> "Config":
-        """Parse a configuration dict; `presets.Bundle.load` reads files and presets."""
-        try:
-            p = int(raw["p"])
-            var_names = list(raw["vars"])
-        except KeyError as e:
-            raise SpecError(f"config missing key {e}")
-        ctx = Context(p, var_names)
-
-        def parse(s: str) -> RatFunc:
-            return parse_element(s, ctx)
-
-        subfields: Dict[str, SubfieldSpec] = {"Kp": SubfieldSpec("Kp", (), ctx)}
-        for sf in raw.get("subfields", []):
-            name = sf["name"]
-            subfields[name] = SubfieldSpec(name, [parse(g) for g in sf.get("gens", [])], ctx)
-
-        rspaces: Dict[str, RSpaceSpec] = {}
-        ordered_r: List[RSpaceSpec] = []
-        ordered_f: List[SubfieldSpec] = []
-        for rs in raw.get("rspaces", []):
-            name = rs["name"]
-            over_name = rs.get("over", "Kp")
-            if over_name not in subfields:
-                raise SpecError(f"unknown subfield {over_name!r}", name)
-            over = subfields[over_name]
-            space = RSpaceSpec(name, over, [parse(b) for b in rs["basis"]])
-            rspaces[name] = space
-            ordered_r.append(space)
-            ordered_f.append(over)
-
-        tower = TowerSpec(ctx, ordered_f, ordered_r) if ordered_r else None
-
-        indifferent = None
-        if "indifferent" in raw:
-            sec = raw["indifferent"]
-            indifferent = IndifferentSpec(
-                ctx,
-                [parse(b) for b in sec["L0"]["basis"]],
-                [parse(g) for g in sec["K0"].get("over_field_gens", [])],
-                [parse(b) for b in sec["K0"]["basis"]],
-                weak=bool(sec.get("weak", True)),
-            )
-
-        return Config(
-            ctx=ctx,
-            subfields=subfields,
-            rspaces=rspaces,
-            tower=tower,
-            indifferent=indifferent,
-        )

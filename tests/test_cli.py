@@ -122,6 +122,51 @@ def test_missing_config_file_is_exit_one(tmp_path, capsys):
     assert "missing config" in err
 
 
+def test_an_unreadable_config_is_exit_one(tmp_path, capsys):
+    code, out, err = run(capsys, "tower", "validate", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unreadable config: ") and err.count("\n") == 1
+
+
+def test_an_unwritable_report_is_exit_one_and_does_not_blame_the_config(tmp_path, capsys):
+    report = tmp_path / "no" / "r.json"
+    code, out, err = run(capsys, "indifferent", "validate", "indifferent-weak",
+                         "--report", str(report))
+    assert code == 1
+    assert json.loads(out)["ok"] is True
+    assert err.startswith("error: ") and str(report) in err and err.count("\n") == 1
+    assert "missing config" not in err
+
+
+# every subcommand that needs a section, run on a preset without it
+MATRIX4 = "1;0;0;0;0;1;0;0;0;0;1;0;0;0;0;1"
+NEEDS_A_SECTION = [
+    (["tower", "validate", "g2"], "tower"),
+    (["indifferent", "validate", "tower-simple"], "indifferent"),
+    (["sp4", "torus-check", "--alpha", "1", "--beta", "t", "--config", "tower-simple"],
+     "indifferent"),
+    (["sl2", "member", "--matrix", "1;0;0;1", "--config", "tower-simple"], "timmesfeld"),
+    (["sl2", "recover", "--config", "tower-simple"], "timmesfeld"),
+    (["sp4", "member", "--matrix", MATRIX4, "--config", "tower-simple"], "indifferent"),
+    (["reconstruct", "g2", "--config", "tower-simple"], "g2"),
+    (["reconstruct", "c2", "--config", "g2"], "indifferent"),
+    (["u", "mult", "--kind", "g2", "--config", "tower-simple", "x1(1)", "x1(1)"], "g2"),
+    (["u", "comm", "--kind", "c2", "--config", "g2", "x1(1)", "x1(1)"], "indifferent"),
+    (["u", "center", "--kind", "g2", "--config", "tower-simple", "x1(1)"], "g2"),
+    (["u", "act", "--kind", "c2", "--alpha", "1", "--beta", "1", "--config", "g2", "x1(1)"],
+     "indifferent"),
+]
+
+
+def test_a_config_without_the_needed_section_is_exit_one(capsys):
+    leaves = {tuple(argv[:1 if argv[0] == "reconstruct" else 2]) for argv, _ in NEEDS_A_SECTION}
+    assert len(leaves) == 11
+    for argv, section in NEEDS_A_SECTION:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: configuration has no {section} section\n"), argv
+
+
 def test_indifferent_validate(capsys):
     code, out, _ = run(capsys, "indifferent", "validate", "indifferent-proper")
     assert code == 0

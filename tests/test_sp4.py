@@ -37,7 +37,7 @@ from imperfect.sp4 import (
     weyl_rep,
 )
 from imperfect.tower import IndifferentSpec, InvariantViolation, SpecError
-from imperfect.unipotent import UElement, u_mult
+from imperfect.unipotent import TorusElement2, UElement, torus_normalizes, u_mult
 from oracles import rank
 
 
@@ -660,6 +660,24 @@ def test_torus_normalizer_check():
     assert not torus_normalizer_check(one, v, spec)
     with pytest.raises(FieldError):
         torus_normalizer_check(ctx.zero(), one, spec)
+
+
+@pytest.mark.parametrize("name", ["indifferent-weak", "indifferent-proper"])
+def test_the_torus_normalizer_check_agrees_with_the_quadrangle_datum(name):
+    # two functions answer whether diag(s_alpha, s_beta) normalizes PSp4(L0, K0)
+    bundle = Bundle.load(name)
+    spec, datum = bundle.cfg.indifferent, bundle.c2()
+    ctx = spec.ctx
+    factors = {ctx.one(), *ctx.gens(), *spec.K0.basis, *spec.L0.basis, *spec.E0.gens}
+    built = sorted({a * b for a in factors for b in factors} | {a.inverse() for a in factors},
+                   key=repr)
+    rng = random.Random(17)
+    randoms = [ctx.rand_ratfunc(rng, nonzero=True) for _ in range(12)]
+    answers = []
+    for sa, sb in list(itertools.product(built[:8], built)) + list(zip(randoms, randoms[::-1])):
+        answers.append(torus_normalizes(TorusElement2(sa, sb), datum))
+        assert torus_normalizer_check(sa, sb, spec) == answers[-1], (sa, sb)
+    assert set(answers) == ({True} if name == "indifferent-weak" else {True, False})
 
 
 def test_structure_data_mu():

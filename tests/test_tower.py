@@ -6,9 +6,8 @@ import pytest
 from imperfect import _linalg
 from imperfect.field import Context, frobenius, parse_element, render_element
 from imperfect.pbasis import PBasis, is_p_independent, p_monomial
-from imperfect.presets import Bundle, preset, preset_names
+from imperfect.presets import Bundle, Config, preset, preset_names
 from imperfect.tower import (
-    Config,
     IndifferentSpec,
     RSpaceSpec,
     SpecError,
