@@ -70,7 +70,6 @@ from .tower import (
     SpecError,
     SubfieldSpec,
     TowerSpec,
-    derive_fields,
     stabilizer_field,
     validate_indifferent,
     validate_tower,
@@ -123,7 +122,6 @@ __all__ = [
     "center_member",
     "chevalley_gen",
     "commutator",
-    "derive_fields",
     "factor_codim1",
     "field_structure",
     "frobenius",

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .field import Context, RatFunc, parse_element
+from .field import Context, ParseError, RatFunc, parse_element
 from .rank1 import TimmesfeldData
 from .sp4 import Sp4Context, StructureData, build_group_from_M
 from .tower import IndifferentSpec, RSpaceSpec, SpecError, SubfieldSpec, TowerSpec
@@ -220,6 +220,8 @@ class Bundle:
                 raise SpecError(f"missing config: {e}")
             except OSError as e:
                 raise SpecError(f"unreadable config: {e}")
+            except json.JSONDecodeError as e:
+                raise ParseError(f"config {raw} is not JSON: {e.msg}, line {e.lineno}", e.pos)
         return Bundle(Config.load(raw))
 
     @property

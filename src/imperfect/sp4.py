@@ -20,17 +20,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import Context, FieldError, RatFunc, pth_root, render_element
+from .field import Context, FieldError, RatFunc, prod, pth_root, render_element
 from .rank1 import Membership, TimmesfeldData, TorusWitness, torus_membership
-from .tower import (
-    DerivedFields,
-    IndifferentSpec,
-    InvariantViolation,
-    RSpaceSpec,
-    SpecError,
-    SubfieldSpec,
-    derive_fields,
-)
+from .tower import IndifferentSpec, InvariantViolation, RSpaceSpec, SpecError, SubfieldSpec
 from .unipotent import RootDatum2, TorusElement2, UElement, c2_datum
 
 
@@ -210,6 +202,30 @@ def u_to_mat(u: UElement) -> Mat4:
     return Mat4(ctx, [[o, t, c + a * t, b + c * t], [z, o, a, c], [z, z, o, t], [z, z, z, o]])
 
 
+def _u_pairs(u: UElement) -> list:
+    """u_to_mat(u) with its entries as unreduced (numerator, denominator) pairs."""
+    ctx = u.datum.ctx
+    t, b, c, a, z, o = [(x.num, x.den) for x in (*u.coords, ctx.zero(), ctx.one())]
+
+    def plus_times_t(x, y):
+        num, den = y[0] * t[0], y[1] * t[1]
+        if x[1].terms == den.terms:
+            return x[0] + num, den
+        return x[0] * den + num * x[1], x[1] * den
+
+    return [[o, t, plus_times_t(c, a), plus_times_t(b, c)], [z, o, a, c], [z, z, o, t], [z, z, z, o]]
+
+
+def _over_one_den(pairs: list) -> tuple:
+    """Numerators n_k and one denominator D with pairs[k] = n_k / D, D the
+    product of the distinct denominators of the nonzero pairs."""
+    one = pairs[0][1].ctx.one().den
+    dens = list(dict.fromkeys(d for n, d in pairs if n.terms and not d.is_one()))
+    if not dens:
+        return [n for n, _ in pairs], one
+    return [n * prod([e for e in dens if e != d], one) for n, d in pairs], prod(dens, one)
+
+
 # ---------------------------------------------------------------------------
 # Weyl group
 # ---------------------------------------------------------------------------
@@ -277,6 +293,31 @@ class Bruhat4:
         return (u_to_mat(self.u1) * torus_matrix(self.s_alpha, self.s_beta)
                 * weyl_rep(self.word, ctx) * u_to_mat(self.u2))
 
+    def reassembles(self, g: Mat4) -> bool:
+        """Whether to_matrix() == g, decided as u1 * h * n_w == g * u2^-1 with no gcd.
+
+        Entry (i, j) of u1 * h * n_w is the one product U1[i][w(j)] * d[w(j)],
+        with d the diagonal of h and w(j) the row of n_w's 1 in column j, and
+        column j of u2^-1 = J u2^T J is row 3 - j of U2 reversed. Each row of g
+        and each column of u2^-1 is put over the product of its distinct entry
+        denominators, which is 1 for a polynomial g.
+        """
+        perm, zero = _WEYL_PERM[self.word], g.ctx.zero().num
+        sa, sb = self.s_alpha, self.s_beta
+        d = [(sa.num, sa.den), (sb.num * sa.den, sb.den * sa.num),
+             (sa.num * sb.den, sa.den * sb.num), (sa.den, sa.num)]
+        U1, U2 = _u_pairs(self.u1), _u_pairs(self.u2)
+        cols = [_over_one_den(U2[3 - j][::-1]) for j in range(4)]
+        for i, row in enumerate(g.rows):
+            G, D = _over_one_den([(x.num, x.den) for x in row])
+            for j, (C, E) in enumerate(cols):
+                acc = sum((x * y for x, y in zip(G, C) if x.terms and y.terms), zero)
+                (a, b), (c, e) = U1[i][perm[j]], d[perm[j]]
+                # a*c / (b*e) == acc / (D*E); a zero left side needs no product
+                if (a * c * D * E).terms != (b * e * acc).terms if a.terms else acc.terms:
+                    return False
+        return True
+
 
 def sp4_bruhat(g: Mat4) -> Bruhat4:
     """Canonical u1 * h * n_w * u2 with u2 supported on the descent slots.
@@ -284,19 +325,16 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
     One bottom-up pass writes g = B * V with B = u1 * h upper triangular and
     V = n_w * u2. Row i of V is 1 in its pivot column col[i], the leftmost
     column where row i's residual is nonzero, and 0 in the pivot columns of
-    the rows below it. The pivot columns give the chamber, and the rest is
-    read off the split: s_alpha = B[0][0] and s_beta = B[0][0] * B[1][1], u1
-    from B's first two rows over its diagonal, and u2 from the rows of V
-    whose pivots are in columns 0 and 1. Each entry is reduced once.
+    the rows below it. The pivots give the chamber; s_alpha = B[0][0], s_beta
+    = B[0][0] * B[1][1], and u1 and u2 are read off B's first two rows over
+    its diagonal and the rows of V with pivots in columns 0 and 1.
 
-    The checks are: the input is symplectic, every pivot is nonzero, the
-    pivot pattern is a Weyl chamber, u2 lies on the chamber's descent slots,
-    and u1 * h * n_w * u2 reassembles to g exactly. The reassembly certifies
-    the answer, and with the support check it is the unique canonical one.
-    The split is not tested further: for symplectic g, B = u1 * h lies in the
-    Borel subgroup, so its diagonal is in the torus and its unipotent part
-    satisfies the entry ties of u_to_mat, and an arithmetic fault that broke
-    either would also break the reassembly.
+    The checks: g is symplectic, every pivot is nonzero, the pivots form a
+    Weyl chamber, u2 lies on its descent slots, and the answer reassembles to
+    g, decided by Bruhat4.reassembles as u1 * h * n_w == g * u2^-1 over
+    unreduced fractions, with no gcd. The reassembly certifies the answer,
+    and with the support check it is the unique canonical one; an arithmetic
+    fault in the split would break it too.
     """
     ctx = g.ctx
     if not is_symplectic(g):
@@ -344,7 +382,7 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
                 f"tail coordinate in slot {slot} outside the chamber support {allowed}"
             )
     out = Bruhat4(u1, word, s_alpha, s_beta, u2)
-    if out.to_matrix() != g:
+    if not out.reassembles(g):
         raise InvariantViolation("decomposition does not reassemble")
     return out
 
@@ -466,7 +504,6 @@ class StructureData:
 class Sp4Context:
     spec: IndifferentSpec
     torus: List[TorusElement2]
-    fields: DerivedFields
 
     @property
     def ctx(self) -> Context:
@@ -487,7 +524,7 @@ def build_group_from_M(m: StructureData) -> Sp4Context:
     s_beta = f1*f4 and s_alpha the square root of f1^2*f4, which exists for
     a consistent action and fails loudly otherwise.
     """
-    ctx = m.spec.ctx
+    c2_datum(m.spec.ctx, m.spec.K0, m.spec.L0)  # SpecError unless L0 * K0 <= K0
     torus = []
     for f1, f4 in m.torus_actions:
         if f1.is_zero() or f4.is_zero():
@@ -500,8 +537,7 @@ def build_group_from_M(m: StructureData) -> Sp4Context:
                 f"{render_element(f1 * f1 * f4)} has no square root"
             )
         torus.append(TorusElement2(s_alpha, s_beta))
-    fields = derive_fields([m.spec.L0, m.spec.K0])
-    return Sp4Context(m.spec, torus, fields)
+    return Sp4Context(m.spec, torus)
 
 
 def perfectness_witness_sp4(slot: int, s: RatFunc,

@@ -129,6 +129,16 @@ def test_an_unreadable_config_is_exit_one(tmp_path, capsys):
     assert err.startswith("error: unreadable config: ") and err.count("\n") == 1
 
 
+def test_a_config_that_is_not_json_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"p": 2,')
+    code, out, err = run(capsys, "tower", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config {path} is not JSON: ") and err.count("\n") == 1
+    assert "line 1 (at position 8)" in err
+
+
 def test_an_unwritable_report_is_exit_one_and_does_not_blame_the_config(tmp_path, capsys):
     report = tmp_path / "no" / "r.json"
     code, out, err = run(capsys, "indifferent", "validate", "indifferent-weak",
@@ -257,6 +267,19 @@ def test_u_on_a_non_closed_quadrangle_config_is_exit_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: u in K0 times t in L0 is t*u, which is not in K0\n"
+
+
+def test_sp4_member_on_a_non_closed_quadrangle_config_is_exit_one(tmp_path, capsys):
+    # the group build rejects the config of the test above before reading the matrix
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "p": 2, "vars": ["t", "u"],
+        "indifferent": {"L0": {"basis": ["1", "t"]}, "K0": {"basis": ["1", "t", "u"]}},
+    }))
+    code, out, err = run(capsys, "sp4", "member", "--matrix", MATRIX4, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "K0" in err
 
 
 def test_u_center(capsys):

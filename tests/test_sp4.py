@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 from typing import Tuple
 
 import pytest
 
+from imperfect import field
 from imperfect.field import Context, FieldError, RatFunc, poly_gcd
 from imperfect.presets import Bundle
 from imperfect.rank1 import Membership, TorusWitness, torus_membership
@@ -246,6 +248,10 @@ def test_inverse_is_form_conjugate_transpose():
     spec = line_spec()
     words = [rand_plain_word(ctx, rng) for _ in range(15)]
     words += [rand_word_matrix(spec, rng, length=4, torus=True) for _ in range(10)]
+    # unipotent matrices with denominators: Bruhat4.reassembles reads u2^-1 as J u2^T J
+    words += [u_to_mat(UElement(full_datum(ctx), tuple(
+        rand_fraction(ctx, rng) if rng.random() < 0.8 else ctx.zero() for _ in range(4))))
+        for _ in range(20)]
     for g in words:
         inv = g.inverse()
         assert inv == j * transpose(g) * j
@@ -569,12 +575,12 @@ def test_sp4_bruhat_matches_oracle_on_proper_words():
 
 
 def test_the_reassembly_certifies_the_decomposition(monkeypatch):
-    honest = Bruhat4.to_matrix
+    honest = Bruhat4.reassembles
 
-    def one_entry_off(self):
-        rows = [list(r) for r in honest(self).rows]
-        rows[0][3] = rows[0][3] + self.s_alpha.ctx.one()
-        return Mat4(self.s_alpha.ctx, rows)
+    def one_entry_off(self, g):
+        rows = [list(r) for r in g.rows]
+        rows[0][3] = rows[0][3] + g.ctx.one()
+        return honest(self, Mat4(g.ctx, rows))
 
     t = CTX.var("t")
     mats = [torus_matrix(t, CTX.one()) * weyl_rep(w, CTX) for w in WEYL_WORDS]
@@ -582,7 +588,7 @@ def test_the_reassembly_certifies_the_decomposition(monkeypatch):
     mats += [rand_plain_word(CTX, rng) for _ in range(4)]
     for g in mats:
         sp4_bruhat(g)
-    monkeypatch.setattr(Bruhat4, "to_matrix", one_entry_off)
+    monkeypatch.setattr(Bruhat4, "reassembles", one_entry_off)
     for g in mats:
         with pytest.raises(InvariantViolation, match="decomposition does not reassemble"):
             sp4_bruhat(g)
@@ -608,6 +614,57 @@ def test_sp4_bruhat_matches_oracle_with_denominators():
              for w in WEYL_WORDS for _ in range(2)]
     assert sum(any(not e.is_poly() for row in g.rows for e in row) for g in mats) >= 50
     assert assert_matches_oracle(mats) == set(WEYL_WORDS)
+
+
+def perturbed(br, rng):
+    """Decompositions one step off br: each coordinate of u1 and u2, each torus
+    coordinate and the chamber moved in turn."""
+    ctx = br.s_alpha.ctx
+    out = []
+    for which in ("u1", "u2"):
+        u = getattr(br, which)
+        for k in range(4):
+            coords = list(u.coords)
+            coords[k] = coords[k] + rand_fraction(ctx, rng)
+            out.append(replace(br, **{which: UElement(u.datum, tuple(coords))}))
+    shift = ctx.one()
+    while shift.is_one():
+        shift = rand_fraction(ctx, rng)
+    out.append(replace(br, s_alpha=br.s_alpha * shift))
+    out.append(replace(br, s_beta=br.s_beta * shift))
+    out.append(replace(br, word=rng.choice([w for w in WEYL_WORDS if w != br.word])))
+    return out
+
+
+def test_the_gcd_free_reassembly_agrees_with_to_matrix(monkeypatch):
+    def no_gcd(f, g):
+        raise AssertionError("the reassembly ran a gcd")
+
+    def gcd_free(br, g):
+        with monkeypatch.context() as m:
+            m.setattr(field, "poly_gcd", no_gcd)
+            return br.reassembles(g)
+
+    ctx = CTX
+    rng = random.Random(64)
+    mats = [rand_plain_word(ctx, rng) for _ in range(16)]
+    for _ in range(16):
+        g = identity4(ctx)
+        for _ in range(rng.randint(1, 4)):
+            g = g * chevalley_gen(Sp4Root(rng.choice(ALL_ROOTS)), rand_fraction(ctx, rng))
+        mats.append(g * torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)))
+    mats += [torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)) * weyl_rep(w, ctx)
+             for w in WEYL_WORDS]
+    assert sum(any(not e.is_poly() for row in g.rows for e in row) for g in mats) >= 20
+    words, verdicts = set(), []
+    for g in mats:
+        br = sp4_bruhat(g)
+        words.add(br.word)
+        for cand in [br] + perturbed(br, rng):
+            verdicts.append(gcd_free(cand, g))
+            assert verdicts[-1] == (cand.to_matrix() == g), (g, cand)
+    assert words == set(WEYL_WORDS)
+    assert verdicts.count(True) == len(mats) and verdicts.count(False) == 11 * len(mats)
 
 
 def test_membership_yes_on_generated_products():

