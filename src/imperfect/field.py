@@ -429,6 +429,187 @@ def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly(ctx, {i * unit: (c * inv) % p for i, c in enumerate(a) if c})
 
 
+# the images of the coprimality certificate live in GF(p^k): GF(2^8), GF(3^5), GF(5^4)
+_GF_DEGREE = {2: 8, 3: 5, 5: 4}
+# x1, x2, x3 take the points a^L, a the field's generator, for L in this row;
+# each L is prime to q - 1, so no point lies in a proper subfield
+_GF_POINTS = {2: (1, 38, 97), 3: (1, 45, 103), 5: (1, 173, 311)}
+_GF_TABLES: dict = {}  # p -> _GF, each built on first use
+
+
+class _GF:
+    """GF(q), q = p^k, as F_p[x]/(M) with M the first modulus in base-p order
+    of which x is a generator a (M primitive).
+
+    exp[i] is a^i as its coefficient vector packed in base p (digit j the
+    coefficient of x^j), for i < 2(q-1), and log inverts it. For p = 2 an
+    element is that packed vector, an int below q: addition is XOR and a
+    product adds logarithms. For odd p an element is its logarithm, None for
+    0, and a sum uses the Zech logarithm 1 + a^n = a^zech[n], so that no table
+    has more than 2q entries.
+    """
+
+    __slots__ = ("m", "exp", "log", "zech", "weights")
+
+    def __init__(self, p: int):
+        k = _GF_DEGREE[p]
+        m = self.m = p ** k - 1
+        for low in range(1, m + 1):  # M = x^k - (r_0 + r_1 x + ... + r_{k-1} x^{k-1})
+            r = [low // p ** j % p for j in range(k)]
+            if not r[0]:
+                continue
+            exp, v = [1], [1] + [0] * (k - 1)
+            while True:  # x is a unit, so its powers come back to 1
+                top = v[-1]
+                v = [(c + top * rj) % p for c, rj in zip([0] + v[:-1], r)]
+                packed = sum(c * p ** j for j, c in enumerate(v))
+                if packed == 1:
+                    break
+                exp.append(packed)
+            if len(exp) == m:
+                break
+        self.exp = exp + exp
+        self.log = [0] * (m + 1)
+        for i, v in enumerate(exp):
+            self.log[v] = i
+        # 1 + a^n, for odd p: adding 1 adds 1 to digit 0
+        self.zech = None if p == 2 else [
+            self.log[v - v % p + (v + 1) % p] if v != p - 1 else None for v in exp]
+        # per image variable x_k, the logs of the points, 0 at x_k
+        self.weights = [tuple(0 if j == k else L for j, L in enumerate(_GF_POINTS[p]))
+                        for k in range(3)]
+
+
+def _gf(p: int) -> _GF:
+    gf = _GF_TABLES.get(p)
+    if gf is None:
+        gf = _GF_TABLES[p] = _GF(p)
+    return gf
+
+
+def _image2(terms: dict, k: int, gf: _GF) -> Optional[list]:
+    """The image in GF(2^8)[x_k], a dense list, of a polynomial over F_2 (every
+    coefficient 1); None when its leading coefficient in x_k vanishes. The
+    exponents of x1, x2, x3 sit at the shifts 0, 16, 32 of a key (_SHIFTS)."""
+    s, (w0, w1, w2), exp, m = _SHIFTS[k], gf.weights[k], gf.exp, gf.m
+    out: dict = {}
+    for e in terms:
+        d = (e >> s) & _FIELD
+        out[d] = out.get(d, 0) ^ exp[
+            ((e & _FIELD) * w0 + (e >> 16 & _FIELD) * w1 + (e >> 32 & _FIELD) * w2) % m]
+    top = max(out)
+    if top and not out[top]:
+        return None
+    return [out.get(d, 0) for d in range(top + 1)]
+
+
+def _image_zech(terms: dict, k: int, gf: _GF) -> Optional[list]:
+    """_image2 for odd p, on logarithms: the terms' coefficient logs are summed
+    with the points' logs, and Zech logarithms add them up."""
+    s, (w0, w1, w2), log, zech, m = _SHIFTS[k], gf.weights[k], gf.log, gf.zech, gf.m
+    out: dict = {}
+    for e, c in terms.items():
+        d = (e >> s) & _FIELD
+        x = (log[c] + (e & _FIELD) * w0 + (e >> 16 & _FIELD) * w1 + (e >> 32 & _FIELD) * w2) % m
+        y = out.get(d)
+        if y is None:
+            out[d] = x
+        else:
+            z = zech[(x - y) % m]
+            out[d] = None if z is None else (y + z) % m
+    top = max(out)
+    if top and out[top] is None:
+        return None
+    return [out.get(d) for d in range(top + 1)]
+
+
+def _coprime2(a: list, b: list, gf: _GF) -> bool:
+    """Whether a and b in GF(2^8)[x] (dense lists, top entries nonzero unless
+    constant) are coprime: Euclid, reducing the longer by the shorter. A
+    constant b, even 0, counts as coprime: _coprime_images passes one only for
+    a variable that g lacks."""
+    exp, log, m = gf.exp, gf.log, gf.m
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        nb = len(b) - 1
+        inv = m - log[b[-1]]
+        low = [(i, log[c]) for i, c in enumerate(b[:-1]) if c]
+        while len(a) > nb:
+            c = a.pop()
+            if c:
+                t = (log[c] + inv) % m  # the quotient term's log
+                off = len(a) - nb
+                for i, lc in low:
+                    a[off + i] ^= exp[lc + t]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _coprime_zech(a: list, b: list, gf: _GF) -> bool:
+    """_coprime2 for odd p, on logarithms; a^(m/2) = -1 negates."""
+    zech, m = gf.zech, gf.m
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        nb = len(b) - 1
+        neg_inv = m // 2 - b[-1]
+        low = [(i, lc) for i, lc in enumerate(b[:-1]) if lc is not None]
+        while len(a) > nb:
+            c = a.pop()
+            if c is not None:
+                t = c + neg_inv  # the log of minus the quotient term
+                off = len(a) - nb
+                for i, lc in low:
+                    x = lc + t
+                    y = a[off + i]
+                    if y is None:
+                        a[off + i] = x % m
+                    else:
+                        z = zech[(x - y) % m]
+                        a[off + i] = None if z is None else (y + z) % m
+        while a and a[-1] is None:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _coprime_images(f: SparsePoly, g: SparsePoly, used: list) -> bool:
+    """True when univariate images certify gcd(f, g) = 1; False says nothing.
+
+    For each variable x_k of f and g, main variable first, every other
+    variable is set to its fixed nonzero point of GF(q) (_GF_POINTS). The
+    certificate holds when, for every x_k that occurs in both f and g, both
+    images keep their x_k-degree and Euclid in GF(q)[x_k] ends in a nonzero
+    constant. Sound: were h = gcd(f, g) of positive degree in x_k, lc_k(h)
+    would divide lc_k(f), whose image is nonzero; so h's image would keep
+    that positive degree and divide both images, which therefore could not be
+    coprime. A variable missing from f or g is missing from h. So h has
+    degree 0 in every variable: it is 1.
+    """
+    p = f.ctx.p
+    gf = _gf(p)
+    image, coprime = (_image2, _coprime2) if p == 2 else (_image_zech, _coprime_zech)
+    for k in reversed(used):
+        a = image(f.terms, k, gf)
+        if a is None:
+            return False
+        if len(a) == 1:
+            continue
+        b = image(g.terms, k, gf)
+        if b is None:
+            return False
+        if not coprime(a, b, gf):
+            return False
+    return True
+
+
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """gcd over F_p, normalized to leading coefficient 1.
 
@@ -442,7 +623,9 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     5. a monomial factor in either input: gcd(x^a*f', x^b*g') =
        x^min(a,b)*gcd(f', g'), the gcd on the right through these cases again;
     6. one variable: Euclid;
-    7. otherwise the primitive PRS in the highest-index variable, with content
+    7. univariate images over GF(p^k) that prove the inputs coprime: 1
+       (_coprime_images);
+    8. otherwise the primitive PRS in the highest-index variable, with content
        gcds through these cases again.
     """
     ctx = f.ctx
@@ -470,6 +653,8 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     k = used[-1]  # the main variable: the highest index occurring
     if len(used) == 1:
         return _gcd_univ(f, g, k)
+    if _coprime_images(f, g, used):
+        return ctx.const_poly(1)
     fc = _coeffs_in(f, k)
     gc = _coeffs_in(g, k)
     cf = _content(fc)

@@ -214,7 +214,7 @@ class Bundle:
         raw = PRESETS[source] if isinstance(source, str) and source in PRESETS else source
         if isinstance(raw, (str, os.PathLike)):
             try:
-                with open(raw) as fh:
+                with open(raw, encoding="utf-8") as fh:
                     raw = json.load(fh)
             except FileNotFoundError as e:
                 raise SpecError(f"missing config: {e}")
@@ -222,6 +222,8 @@ class Bundle:
                 raise SpecError(f"unreadable config: {e}")
             except json.JSONDecodeError as e:
                 raise ParseError(f"config {raw} is not JSON: {e.msg}, line {e.lineno}", e.pos)
+            except UnicodeDecodeError as e:
+                raise ParseError(f"config {raw} is not UTF-8 text: {e.reason}", e.start)
         return Bundle(Config.load(raw))
 
     @property

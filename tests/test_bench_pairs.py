@@ -88,10 +88,11 @@ def test_each_pair_records_the_ops_of_both_sides(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(
         a, 0, stdout="abc1234\n"))
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda dest: None)
     metrics = {m["name"]: 1.0 for m in json.loads(spec)["end_to_end"]}
 
     def fake_run(checkout, workload, seed):
-        ops = 1000 * seed + (7 if checkout == tmp_path else 0)
+        ops = 1000 * seed + (7 if checkout.name == "change" else 0)
         return {"metrics": metrics, "digest": f"digest {seed}", "attempted": ops, "failed": 0}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
@@ -103,3 +104,40 @@ def test_each_pair_records_the_ops_of_both_sides(tmp_path, monkeypatch):
         {"parent": 1000, "change": 1007}, {"parent": 2000, "change": 2007}]
     assert [pair["first"] for pair in got["per_pair"]] == ["parent", "change"]
     assert got["ops"]["change"] == {"attempted": 3014, "failed": 0}
+
+
+def test_both_sides_run_from_copies_of_one_layout(tmp_path, monkeypatch):
+    """The change side runs from a copy of the working tree, not from the
+    checkout, so that neither side's peak RSS depends on where it runs."""
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    spec = (TOOL.parents[1] / "BENCHMARK.json").read_text()
+    for name, text in (("BENCHMARK.json", spec), ("src/pkg/mod.py", "x = 1\n"),
+                       ("perfbench/run.py", "run\n"), ("tests/t.py", "t\n")):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-qm", "c"], check=True)
+    # the working tree moves on after the commit, and leaves caches and spans behind
+    (tmp_path / "src/pkg/mod.py").write_text("x = 2\n")
+    for junk in ("src/pkg/__pycache__/mod.pyc", "perfbench/out/spans.json"):
+        (tmp_path / junk).parent.mkdir(parents=True)
+        (tmp_path / junk).write_text("junk")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    metrics = {m["name"]: 1.0 for m in json.loads(spec)["end_to_end"]}
+    seen = {}
+
+    def fake_run(checkout, workload, seed):
+        files = sorted(str(f.relative_to(checkout)) for f in checkout.rglob("*") if f.is_file())
+        seen[checkout.name] = (checkout, files, (checkout / "src/pkg/mod.py").read_text())
+        return {"metrics": metrics, "digest": "digest", "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["--parent", "HEAD", "--workload", "matrix-words", "--seeds", "1", "--tag", "t"]
+    assert bench_pairs.main(argv) == 0
+    files = ["BENCHMARK.json", "perfbench/run.py", "src/pkg/mod.py"]
+    assert seen["parent"][1:] == (files, "x = 1\n")
+    assert seen["change"][1:] == (files, "x = 2\n")
+    # both copies sit side by side in one temporary directory, removed after the runs
+    assert seen["parent"][0].parent == seen["change"][0].parent != tmp_path
+    assert not seen["change"][0].exists()

@@ -139,6 +139,15 @@ def test_a_config_that_is_not_json_is_a_parse_error_naming_the_file(tmp_path, ca
     assert "line 1 (at position 8)" in err
 
 
+def test_a_config_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "tower", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config {path} is not UTF-8 text: invalid start byte (at position 0)\n"
+
+
 def test_an_unwritable_report_is_exit_one_and_does_not_blame_the_config(tmp_path, capsys):
     report = tmp_path / "no" / "r.json"
     code, out, err = run(capsys, "indifferent", "validate", "indifferent-weak",

@@ -1,4 +1,9 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -880,6 +885,142 @@ def test_gcd_shortcuts_match_the_tuple_kernel(ctx, monkeypatch):
     for divides, f, g in cases:
         if divides:
             assert poly_gcd(f, g) == poly_gcd(g, f)
+
+
+# ---------------------------------------------------------------------------
+# the coprimality certificate: univariate images over GF(p^k)
+# ---------------------------------------------------------------------------
+
+MULTIVARIATE = [ctx for ctx in CONTEXTS if ctx.n > 1]
+
+
+def gf_add(p, x, y):
+    """The sum of two elements of GF(p^k) packed in base p, digit by digit."""
+    out, place = 0, 1
+    while x or y:
+        out += (x + y) % p * place
+        x, y, place = x // p, y // p, place * p
+    return out
+
+
+def minimal_polynomial(p, k):
+    """Coefficients, constant first, of the monic polynomial over F_p of least
+    degree that vanishes at the point x_k takes, found by trying them all."""
+    gf = field._GF(p)
+    point = field._GF_POINTS[p][k]
+    for degree in range(1, field._GF_DEGREE[p] + 1):
+        for low in itertools.product(range(p), repeat=degree):
+            value = 0
+            for i, c in enumerate(low + (1,)):
+                for _ in range(c):
+                    value = gf_add(p, value, gf.exp[i * point % gf.m])
+            if value == 0:
+                return low + (1,)
+
+
+def test_no_gf_table_is_built_at_import():
+    code = "import sys, imperfect.cli, imperfect.field as f; sys.exit(len(f._GF_TABLES))"
+    env = {**os.environ, "PYTHONPATH": str(Path(field.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gf_tables_are_a_field_generated_by_a(p):
+    gf = field._GF(p)
+    q = p ** field._GF_DEGREE[p]
+    # a^0, ..., a^(q-2) are the q-1 nonzero elements: a has order q-1
+    assert gf.m == q - 1
+    assert sorted(gf.exp[:gf.m]) == list(range(1, q))
+    assert gf.exp[gf.m:] == gf.exp[:gf.m]
+    assert all(gf.log[gf.exp[i]] == i for i in range(gf.m))
+    # multiplying by a^l distributes over the digitwise sum
+    rng = random.Random(p)
+    for _ in range(200):
+        i, j, l = (rng.randrange(gf.m) for _ in range(3))
+        s = gf_add(p, gf.exp[i], gf.exp[j])
+        if s:
+            assert gf.exp[(gf.log[s] + l) % gf.m] == gf_add(p, gf.exp[i + l], gf.exp[j + l])
+    if p == 2:
+        assert gf.zech is None
+        return
+    # Zech logarithms: 1 + a^n = a^zech[n], and a^(m/2) = -1
+    for n in range(gf.m):
+        s = gf_add(p, 1, gf.exp[n])
+        assert (gf.zech[n] is None) == (s == 0) == (n == gf.m // 2)
+        assert s == 0 or gf.exp[gf.zech[n]] == s
+
+
+@pytest.mark.parametrize("ctx", MULTIVARIATE, ids=repr)
+def test_the_certificate_changes_no_gcd(ctx, monkeypatch):
+    rng = random.Random(600 + ctx.p * 10 + ctx.n)
+    cases = list(kernel_inputs(ctx, rng, 60))
+    honest, verdicts = field._coprime_images, []
+    monkeypatch.setattr(field, "_coprime_images",
+                        lambda *a: verdicts.append(honest(*a)) or verdicts[-1])
+    got = [poly_gcd(f, g) for f, g in cases]
+    assert True in verdicts and False in verdicts
+    monkeypatch.setattr(field, "_coprime_images", lambda *a: False)
+    assert [poly_gcd(f, g) for f, g in cases] == got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_factor_free_of_the_main_variable_is_never_certified(p):
+    ctx = Context(p, ("t", "u", "v"))
+    t, u, v = (x.num for x in ctx.gens())
+    one = ctx.const_poly(1)
+    rng = random.Random(700 + p)
+
+    def in_v():
+        while True:
+            f = ctx.rand_poly(rng, max_deg=2, max_terms=3) * v + ctx.rand_poly(rng, max_deg=2)
+            if f.degree_in(2):
+                return f
+
+    for content in (t + one, u * u + t, t * u + one):
+        for _ in range(5):
+            F, G = content * in_v(), content * in_v()
+            assert not field._coprime_images(F, G, field._variables(F, G))
+            got = poly_gcd(F, G)
+            assert field._quotient(got, content) is not None
+            assert got.by_exponents() == t_gcd(p, 3, F.by_exponents(), G.by_exponents())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_leading_coefficient_vanishing_at_the_point_falls_through(p, monkeypatch):
+    ctx = Context(p, ("t", "u"))
+    t, u = (x.num for x in ctx.gens())
+    mu = minimal_polynomial(p, 0)
+    # t's point lies in no proper subfield of GF(p^k)
+    assert len(mu) == field._GF_DEGREE[p] + 1
+    f = ctx.poly({(i, 2): c for i, c in enumerate(mu)}) + u + t
+    g = u + ctx.const_poly(1)
+    assert not field._coprime_images(f, g, [0, 1])
+    assert not field._coprime_images(g, f, [0, 1])
+    honest, calls = field._coeffs_in, []
+    monkeypatch.setattr(field, "_coeffs_in", lambda *a: calls.append(a) or honest(*a))
+    assert poly_gcd(f, g).is_one()
+    assert calls
+
+
+@pytest.mark.parametrize("ctx", MULTIVARIATE, ids=repr)
+def test_certified_coprime_inputs_never_reach_the_prs(ctx, monkeypatch):
+    rng = random.Random(800 + ctx.p * 10 + ctx.n)
+    pairs = []
+    while len(pairs) < 40:
+        f, g = (ctx.rand_poly(rng, max_deg=3, max_terms=4) for _ in range(2))
+        if len(field._variables(f, g)) > 1 and poly_gcd(f, g).is_one():
+            pairs.append((f, g))
+    # the points are fixed, so a coprime pair can miss its certificate when the
+    # points satisfy a relation the pair's images see: 2 of these 240 do
+    certified = [(f, g) for f, g in pairs if field._coprime_images(f, g, field._variables(f, g))]
+    assert len(certified) >= 38
+
+    def no_prs(*args):
+        raise AssertionError("reached the PRS")
+
+    monkeypatch.setattr(field, "_coeffs_in", no_prs)
+    for f, g in certified:
+        assert poly_gcd(f, g).is_one(), (f, g)
 
 
 def exponent_vectors(n, budget):

@@ -567,11 +567,11 @@ def test_sp4_bruhat_of_structured_elements():
 
 
 def test_sp4_bruhat_matches_oracle_on_proper_words():
-    # words 2 and 12 of these draws take seconds on both procedures; word 23
-    # has fractional entries
+    # word 12 of these draws takes seconds on both procedures (17 s together);
+    # word 23 has fractional entries
     words = proper_tail_words()
     assert any(not e.is_poly() for row in words[23].rows for e in row)
-    assert_matches_oracle([g for k, g in enumerate(words) if k not in (2, 12)])
+    assert_matches_oracle([g for k, g in enumerate(words) if k != 12])
 
 
 def test_the_reassembly_certifies_the_decomposition(monkeypatch):

@@ -2,9 +2,11 @@
 
     python3 tools/bench_pairs.py --parent REF --workload NAME --seeds 1,2,3 --tag TAG
 
-The parent side runs from the committed files of REF, exported with
-`git archive` into a temporary directory (the same files a fresh checkout
-has); the change side runs from this checkout. Each seed is one pair: both
+Both sides run from temporary directories of one layout that hold only what
+a perfbench run reads (src/, perfbench/ and BENCHMARK.json): the parent side
+the committed files of REF, exported with `git archive` (the files a fresh
+checkout has), and the change side a copy of this checkout's working tree,
+taken once before the first run. Each seed is one pair: both
 sides run `perfbench/run.py --workload NAME --seed N --trace 0`, the side that
 goes first alternating from pair to pair, each for BENCHMARK.json's
 run_seconds. The result is merged into BENCH_<tag>.json at the root of this
@@ -31,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# what a perfbench run reads of a checkout
+RUN_FILES = ("src", "perfbench", "BENCHMARK.json")
 
 
 def _quartiles(values: list) -> dict:
@@ -74,12 +78,25 @@ def summarize(per_pair: list, metrics: list) -> dict:
 
 
 def export(ref: str, dest: Path) -> None:
-    """The committed files of ref, written under dest."""
+    """The committed RUN_FILES of ref, written under dest."""
     with tempfile.TemporaryFile() as fh:
-        subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, stdout=fh, check=True)
+        subprocess.run(["git", "archive", "--format=tar", ref, *RUN_FILES], cwd=ROOT, stdout=fh,
+                       check=True)
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(dest)
+
+
+def snapshot(dest: Path) -> None:
+    """The RUN_FILES of this checkout's working tree, copied under dest, without
+    bytecode caches or perfbench's span output."""
+    dest.mkdir(parents=True)
+    for name in RUN_FILES:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        else:
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -110,8 +127,9 @@ def main(argv=None) -> int:
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 capture_output=True, text=True, check=True).stdout.strip()
     harness = (f"python3 perfbench/run.py --workload W --seed S --trace 0, run_seconds "
-               f"{spec['run_seconds']} from BENCHMARK.json; parent from `git archive` of its "
-               "commit, change from this checkout; pairs alternate which side runs first")
+               f"{spec['run_seconds']} from BENCHMARK.json; both sides from temporary copies of "
+               f"{', '.join(RUN_FILES)}: parent from `git archive` of its commit, change from "
+               "this checkout's working tree; pairs alternate which side runs first")
     doc = json.loads(out.read_text()) if out.exists() else {}
     for key, value in (("parent", parent_rev), ("harness", harness)):
         if doc.get(key, value) != value:
@@ -121,8 +139,9 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        export(parent_rev, tmp)
-        dirs = {"parent": tmp, "change": ROOT}
+        dirs = {side: tmp / side for side in SIDES}
+        export(parent_rev, dirs["parent"])
+        snapshot(dirs["change"])
         per_pair, digests = [], []
         totals = {side: {"attempted": 0, "failed": 0} for side in SIDES}
         for i, seed in enumerate(seeds):
