@@ -395,41 +395,8 @@ def exact_div(f: SparsePoly, d: SparsePoly) -> SparsePoly:
     return quo
 
 
-def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
-    """Euclid in F_p[x_k] for polynomials involving only x_k."""
-    ctx = f.ctx
-    p = ctx.p
-    s = _SHIFTS[k]
-
-    def to_list(poly: SparsePoly) -> list:
-        out = [0] * (poly.degree_in(k) + 1)
-        for e, c in poly.terms.items():
-            out[(e >> s) & _FIELD] = c
-        return out
-
-    def trim(a: list) -> list:
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    a, b = trim(to_list(f)), trim(to_list(g))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            c = (a[-1] * inv) % p
-            shiftn = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[i + shiftn] = (a[i + shiftn] - c * bc) % p
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
-    inv = pow(a[-1], p - 2, p)
-    unit = _VAR[k]
-    return SparsePoly(ctx, {i * unit: (c * inv) % p for i, c in enumerate(a) if c})
-
-
-# the images of the coprimality certificate live in GF(p^k): GF(2^8), GF(3^5), GF(5^4)
+# univariate images, for the coprimality certificate and for one-variable gcds,
+# live in GF(p^k): GF(2^8), GF(3^5), GF(5^4)
 _GF_DEGREE = {2: 8, 3: 5, 5: 4}
 # x1, x2, x3 take the points a^L, a the field's generator, for L in this row;
 # each L is prime to q - 1, so no point lies in a proper subfield
@@ -442,14 +409,14 @@ class _GF:
     of which x is a generator a (M primitive).
 
     exp[i] is a^i as its coefficient vector packed in base p (digit j the
-    coefficient of x^j), for i < 2(q-1), and log inverts it. For p = 2 an
-    element is that packed vector, an int below q: addition is XOR and a
-    product adds logarithms. For odd p an element is its logarithm, None for
-    0, and a sum uses the Zech logarithm 1 + a^n = a^zech[n], so that no table
-    has more than 2q entries.
+    coefficient of x^j), for i < q - 1, and log inverts it; an element of F_p
+    packs to itself. An element is its logarithm, None for 0: a product adds
+    logarithms and a sum uses the Zech logarithm 1 + a^n = a^zech[n], None
+    where a^n = -1, at n = neg (0 for p = 2, m/2 for odd p). No table has more
+    than q entries.
     """
 
-    __slots__ = ("m", "exp", "log", "zech", "weights")
+    __slots__ = ("m", "exp", "log", "zech", "neg", "weights")
 
     def __init__(self, p: int):
         k = _GF_DEGREE[p]
@@ -468,13 +435,13 @@ class _GF:
                 exp.append(packed)
             if len(exp) == m:
                 break
-        self.exp = exp + exp
+        self.exp = exp
         self.log = [0] * (m + 1)
         for i, v in enumerate(exp):
             self.log[v] = i
-        # 1 + a^n, for odd p: adding 1 adds 1 to digit 0
-        self.zech = None if p == 2 else [
-            self.log[v - v % p + (v + 1) % p] if v != p - 1 else None for v in exp]
+        self.neg = self.log[p - 1]
+        # adding 1 adds 1 to digit 0
+        self.zech = [self.log[v - v % p + (v + 1) % p] if v != p - 1 else None for v in exp]
         # per image variable x_k, the logs of the points, 0 at x_k
         self.weights = [tuple(0 if j == k else L for j, L in enumerate(_GF_POINTS[p]))
                         for k in range(3)]
@@ -487,25 +454,12 @@ def _gf(p: int) -> _GF:
     return gf
 
 
-def _image2(terms: dict, k: int, gf: _GF) -> Optional[list]:
-    """The image in GF(2^8)[x_k], a dense list, of a polynomial over F_2 (every
-    coefficient 1); None when its leading coefficient in x_k vanishes. The
-    exponents of x1, x2, x3 sit at the shifts 0, 16, 32 of a key (_SHIFTS)."""
-    s, (w0, w1, w2), exp, m = _SHIFTS[k], gf.weights[k], gf.exp, gf.m
-    out: dict = {}
-    for e in terms:
-        d = (e >> s) & _FIELD
-        out[d] = out.get(d, 0) ^ exp[
-            ((e & _FIELD) * w0 + (e >> 16 & _FIELD) * w1 + (e >> 32 & _FIELD) * w2) % m]
-    top = max(out)
-    if top and not out[top]:
-        return None
-    return [out.get(d, 0) for d in range(top + 1)]
-
-
-def _image_zech(terms: dict, k: int, gf: _GF) -> Optional[list]:
-    """_image2 for odd p, on logarithms: the terms' coefficient logs are summed
-    with the points' logs, and Zech logarithms add them up."""
+def _image(terms: dict, k: int, gf: _GF) -> Optional[list]:
+    """The image in GF(q)[x_k], a dense list of logs, of a polynomial over F_p:
+    every variable but x_k is set to its point, so a term's log is its
+    coefficient's log plus the points' logs, and Zech logarithms add the terms
+    up. None when the leading coefficient in x_k vanishes. The exponents of
+    x1, x2, x3 sit at the shifts 0, 16, 32 of a key (_SHIFTS)."""
     s, (w0, w1, w2), log, zech, m = _SHIFTS[k], gf.weights[k], gf.log, gf.zech, gf.m
     out: dict = {}
     for e, c in terms.items():
@@ -523,41 +477,17 @@ def _image_zech(terms: dict, k: int, gf: _GF) -> Optional[list]:
     return [out.get(d) for d in range(top + 1)]
 
 
-def _coprime2(a: list, b: list, gf: _GF) -> bool:
-    """Whether a and b in GF(2^8)[x] (dense lists, top entries nonzero unless
-    constant) are coprime: Euclid, reducing the longer by the shorter. A
-    constant b, even 0, counts as coprime: _coprime_images passes one only for
-    a variable that g lacks."""
-    exp, log, m = gf.exp, gf.log, gf.m
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        nb = len(b) - 1
-        inv = m - log[b[-1]]
-        low = [(i, log[c]) for i, c in enumerate(b[:-1]) if c]
-        while len(a) > nb:
-            c = a.pop()
-            if c:
-                t = (log[c] + inv) % m  # the quotient term's log
-                off = len(a) - nb
-                for i, lc in low:
-                    a[off + i] ^= exp[lc + t]
-        while a and not a[-1]:
-            a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
-
-
-def _coprime_zech(a: list, b: list, gf: _GF) -> bool:
-    """_coprime2 for odd p, on logarithms; a^(m/2) = -1 negates."""
+def _euclid(a: list, b: list, gf: _GF) -> list:
+    """A gcd of a and b in GF(q)[x], dense lists of logs whose top entries
+    are not None unless constant, by Euclid reducing the longer by the
+    shorter; the lists are consumed. A constant b, even 0, ends Euclid and is
+    returned: _coprime_images passes one only for a variable that g lacks."""
     zech, m = gf.zech, gf.m
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         nb = len(b) - 1
-        neg_inv = m // 2 - b[-1]
+        neg_inv = gf.neg - b[-1]
         low = [(i, lc) for i, lc in enumerate(b[:-1]) if lc is not None]
         while len(a) > nb:
             c = a.pop()
@@ -575,9 +505,21 @@ def _coprime_zech(a: list, b: list, gf: _GF) -> bool:
         while a and a[-1] is None:
             a.pop()
         if not a:
-            return False
+            return b
         a, b = b, a
-    return True
+    return b
+
+
+def _gcd_univ(f: SparsePoly, g: SparsePoly, k: int) -> SparsePoly:
+    """The monic gcd of f and g, polynomials involving only x_k: Euclid on
+    their images in GF(q)[x_k], which are exact, made monic and read back
+    through exp. The monic gcd over GF(q) is the one over F_p, so its
+    coefficients pack to themselves."""
+    gf = _gf(f.ctx.p)
+    h = _euclid(_image(f.terms, k, gf), _image(g.terms, k, gf), gf)
+    exp, m, top, unit = gf.exp, gf.m, h[-1], _VAR[k]
+    return SparsePoly(f.ctx, {i * unit: exp[(c - top) % m] for i, c in enumerate(h)
+                              if c is not None})
 
 
 def _coprime_images(f: SparsePoly, g: SparsePoly, used: list) -> bool:
@@ -586,26 +528,22 @@ def _coprime_images(f: SparsePoly, g: SparsePoly, used: list) -> bool:
     For each variable x_k of f and g, main variable first, every other
     variable is set to its fixed nonzero point of GF(q) (_GF_POINTS). The
     certificate holds when, for every x_k that occurs in both f and g, both
-    images keep their x_k-degree and Euclid in GF(q)[x_k] ends in a nonzero
-    constant. Sound: were h = gcd(f, g) of positive degree in x_k, lc_k(h)
-    would divide lc_k(f), whose image is nonzero; so h's image would keep
-    that positive degree and divide both images, which therefore could not be
-    coprime. A variable missing from f or g is missing from h. So h has
-    degree 0 in every variable: it is 1.
+    images keep their x_k-degree and their gcd in GF(q)[x_k] is a constant.
+    Sound: were h = gcd(f, g) of positive degree in x_k, lc_k(h) would divide
+    lc_k(f), whose image is nonzero; so h's image would keep that positive
+    degree and divide both images, which therefore could not be coprime. A
+    variable missing from f or g is missing from h. So h has degree 0 in
+    every variable: it is 1.
     """
-    p = f.ctx.p
-    gf = _gf(p)
-    image, coprime = (_image2, _coprime2) if p == 2 else (_image_zech, _coprime_zech)
+    gf = _gf(f.ctx.p)
     for k in reversed(used):
-        a = image(f.terms, k, gf)
+        a = _image(f.terms, k, gf)
         if a is None:
             return False
         if len(a) == 1:
             continue
-        b = image(g.terms, k, gf)
-        if b is None:
-            return False
-        if not coprime(a, b, gf):
+        b = _image(g.terms, k, gf)
+        if b is None or len(_euclid(a, b, gf)) > 1:
             return False
     return True
 
@@ -622,7 +560,8 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
        division): that input made monic;
     5. a monomial factor in either input: gcd(x^a*f', x^b*g') =
        x^min(a,b)*gcd(f', g'), the gcd on the right through these cases again;
-    6. one variable: Euclid;
+    6. one variable: Euclid on the images in GF(p^k)[x_k], which are exact,
+       made monic and read back (_gcd_univ);
     7. univariate images over GF(p^k) that prove the inputs coprime: 1
        (_coprime_images);
     8. otherwise the primitive PRS in the highest-index variable, with content

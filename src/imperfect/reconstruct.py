@@ -80,14 +80,8 @@ class Codec:
 
 
 def _slot_sampler(datum: RootDatum2, slot: int) -> Callable[[random.Random], OpaqueElem]:
-    dom = datum.slot(slot).domain
-
     def draw(rng: random.Random) -> OpaqueElem:
-        if dom is None:
-            c = datum.ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
-        else:
-            c = dom.rand_element(rng)
-        return OpaqueElem(datum.generator(slot, c))
+        return OpaqueElem(datum.generator(slot, datum.rand_coord(slot, rng, 2)))
 
     return draw
 

@@ -265,11 +265,7 @@ def _chk_unipotent_assoc(cfg, rng, inst):
             xs = []
             for _ in range(3):
                 slot = rng.randrange(1, datum.nslots + 1)
-                dom = datum.slot(slot).domain
-                c = (dom.rand_element(rng) if dom is not None
-                     else datum.ctx.rand_ratfunc(rng, max_deg=1, max_terms=2,
-                                                 denominators=False))
-                xs.append(datum.generator(slot, c))
+                xs.append(datum.generator(slot, datum.rand_coord(slot, rng, 2)))
             x, y, z = xs
             if u_mult(u_mult(x, y), z) != u_mult(x, u_mult(y, z)):
                 raise _Fail(f"{key}: associativity broke",
@@ -289,11 +285,7 @@ def _chk_unipotent_center(cfg, rng, inst):
             for slot in range(1, datum.nslots + 1):
                 if rng.random() < 0.5:
                     continue
-                dom = datum.slot(slot).domain
-                c = (dom.rand_element(rng) if dom is not None
-                     else datum.ctx.rand_ratfunc(rng, max_deg=1, max_terms=1,
-                                                 denominators=False))
-                word.append(datum.generator(slot, c))
+                word.append(datum.generator(slot, datum.rand_coord(slot, rng, 1)))
             x = datum.identity()
             for w in word:
                 x = u_mult(x, w)
@@ -312,11 +304,7 @@ def _chk_unipotent_torus(cfg, rng, inst):
             def draw():
                 x = datum.identity()
                 for s in slots:
-                    dom = datum.slot(s).domain
-                    c = (dom.rand_element(rng) if dom is not None
-                         else ctx.rand_ratfunc(rng, max_deg=1, max_terms=1,
-                                               denominators=False))
-                    x = u_mult(x, datum.generator(s, c))
+                    x = u_mult(x, datum.generator(s, datum.rand_coord(s, rng, 1)))
                 return x
             x, y = draw(), draw()
             if torus_act(h, u_mult(x, y)) != u_mult(torus_act(h, x), torus_act(h, y)):

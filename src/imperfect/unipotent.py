@@ -16,6 +16,7 @@ table down.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -59,6 +60,14 @@ class RootDatum2:
 
     def identity(self) -> "UElement":
         return UElement(self, tuple(self.ctx.zero() for _ in self.slots))
+
+    def rand_coord(self, slot: int, rng: random.Random, max_terms: int) -> RatFunc:
+        """A random coordinate for the slot: from its domain, or, for a
+        full-field slot, a polynomial of degree at most 1 and max_terms terms."""
+        dom = self.slot(slot).domain
+        if dom is not None:
+            return dom.rand_element(rng)
+        return self.ctx.rand_ratfunc(rng, max_deg=1, max_terms=max_terms, denominators=False)
 
     def generator(self, slot: int, coord: RatFunc) -> "UElement":
         if not 1 <= slot <= self.nslots:
@@ -383,13 +392,13 @@ _GEN_RE = re.compile(r"x(\d+)\(")
 
 
 def parse_uword(text: str, datum: RootDatum2) -> UElement:
-    """Words like "x1(t)*x6(s^3+1)"; each factor is a slot generator."""
+    """Words like "x1(t)*x6(s^3+1)", each factor a slot generator, or "1"."""
     out = datum.identity()
     pos = 0
     text = text.strip()
     if text == "1":  # the rendering of the identity
         return out
-    while pos < len(text):
+    while True:  # a factor, then the end or "*" and another factor
         m = _GEN_RE.match(text, pos)
         if not m:
             raise SpecError(f"expected xN(...) at position {pos}")
@@ -408,8 +417,8 @@ def parse_uword(text: str, datum: RootDatum2) -> UElement:
         coord = parse_element(expr, datum.ctx)
         out = u_mult(out, datum.generator(slot, coord))
         pos = i
-        if pos < len(text):
-            if text[pos] != "*":
-                raise SpecError(f"expected '*' at position {pos}")
-            pos += 1
-    return out
+        if pos == len(text):
+            return out
+        if text[pos] != "*":
+            raise SpecError(f"expected '*' at position {pos}")
+        pos += 1

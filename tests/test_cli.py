@@ -291,6 +291,15 @@ def test_sp4_member_on_a_non_closed_quadrangle_config_is_exit_one(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1 and "K0" in err
 
 
+def test_u_mult_rejects_a_trailing_star_and_the_empty_word(capsys):
+    for words in (("x1(t)*", "x4(u)"), ("x1(t)", "")):
+        code, out, err = run(capsys, "u", "mult", "--kind", "c2", *words,
+                             "-p", "2", "--vars", "t,u")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: expected xN(...) at position ")
+
+
 def test_u_center(capsys):
     code, out, _ = run(capsys, "u", "center", "--kind", "g2",
                        "--config", "g2", "x4(s)")

@@ -887,6 +887,39 @@ def test_gcd_shortcuts_match_the_tuple_kernel(ctx, monkeypatch):
             assert poly_gcd(f, g) == poly_gcd(g, f)
 
 
+def univariate_inputs(ctx, k, rng, count):
+    """Pairs of dense polynomials in x_k of degree up to about 40: coprime-looking
+    random pairs, and pairs sharing a random factor of degree 1-20."""
+    def poly(degree):
+        coeffs = [rng.randrange(ctx.p) for _ in range(degree)] + [rng.randrange(1, ctx.p)]
+        return ctx.poly({tuple(i if j == k else 0 for j in range(ctx.n)): c
+                         for i, c in enumerate(coeffs)})
+
+    for i in range(count):
+        if i % 2:
+            h = poly(rng.randint(1, 20))
+            yield poly(rng.randint(0, 20)) * h, poly(rng.randint(1, 20)) * h
+        else:
+            yield poly(rng.randint(1, 40)), poly(rng.randint(1, 40))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_univariate_gcds_of_high_degree_match_the_tuple_kernel(p):
+    rng = random.Random(900 + p)
+    for n in (1, 3):
+        ctx = Context(p, ("t", "u", "v")[:n])
+        for k in range(n):
+            degrees = []
+            for f, g in univariate_inputs(ctx, k, rng, 12):
+                want = t_gcd_univ(p, n, f.by_exponents(), g.by_exponents(), k)
+                got = field._gcd_univ(f, g, k)
+                assert got.by_exponents() == want, (f, g)
+                assert poly_gcd(f, g) == got
+                degrees.append(got.degree_in(k))
+            # both coprime pairs and shared factors of positive degree occur
+            assert 0 in degrees and max(degrees) > 0
+
+
 # ---------------------------------------------------------------------------
 # the coprimality certificate: univariate images over GF(p^k)
 # ---------------------------------------------------------------------------
@@ -930,8 +963,7 @@ def test_gf_tables_are_a_field_generated_by_a(p):
     q = p ** field._GF_DEGREE[p]
     # a^0, ..., a^(q-2) are the q-1 nonzero elements: a has order q-1
     assert gf.m == q - 1
-    assert sorted(gf.exp[:gf.m]) == list(range(1, q))
-    assert gf.exp[gf.m:] == gf.exp[:gf.m]
+    assert sorted(gf.exp) == list(range(1, q))
     assert all(gf.log[gf.exp[i]] == i for i in range(gf.m))
     # multiplying by a^l distributes over the digitwise sum
     rng = random.Random(p)
@@ -939,14 +971,15 @@ def test_gf_tables_are_a_field_generated_by_a(p):
         i, j, l = (rng.randrange(gf.m) for _ in range(3))
         s = gf_add(p, gf.exp[i], gf.exp[j])
         if s:
-            assert gf.exp[(gf.log[s] + l) % gf.m] == gf_add(p, gf.exp[i + l], gf.exp[j + l])
-    if p == 2:
-        assert gf.zech is None
-        return
-    # Zech logarithms: 1 + a^n = a^zech[n], and a^(m/2) = -1
+            assert gf.exp[(gf.log[s] + l) % gf.m] == gf_add(
+                p, gf.exp[(i + l) % gf.m], gf.exp[(j + l) % gf.m])
+    # a^neg = -1: adding it to 1 gives 0
+    assert gf_add(p, 1, gf.exp[gf.neg]) == 0
+    assert gf.neg == (0 if p == 2 else gf.m // 2)
+    # Zech logarithms: 1 + a^n = a^zech[n], undefined exactly at n = neg
     for n in range(gf.m):
         s = gf_add(p, 1, gf.exp[n])
-        assert (gf.zech[n] is None) == (s == 0) == (n == gf.m // 2)
+        assert (gf.zech[n] is None) == (s == 0) == (n == gf.neg)
         assert s == 0 or gf.exp[gf.zech[n]] == s
 
 

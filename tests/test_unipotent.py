@@ -364,6 +364,10 @@ def test_parse_uword_roundtrip():
         parse_uword("x7(s)", datum)
     with pytest.raises((SpecError, ValueError)):
         parse_uword("x1(s", datum)
+    # a trailing or doubled '*' and the empty word are not words
+    for text, pos in (("x1(s)*", 6), ("x1(s)**x6(s^3)", 6), ("", 0), ("  ", 0)):
+        with pytest.raises(SpecError, match=rf"expected xN\(\.\.\.\) at position {pos}$"):
+            parse_uword(text, datum)
 
 
 def test_equality_requires_same_datum():
