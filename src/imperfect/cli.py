@@ -19,8 +19,7 @@ from .field import Context, ImperfectError, ParseError, parse_element, render_el
 from .presets import Bundle, preset_names
 from .rank1 import (Mat2, bruhat2, Cell, factor_codim1, membership_sl2L,
                     perfectness_witness)
-from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
-                          negative_control, verify_recovery)
+from .reconstruct import negative_control, recover, verify_recovery
 from .sp4 import Mat4, sp4_bruhat, torus_normalizer_check
 from .tower import SubfieldSpec, validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, c2_datum, center_member, commutator,
@@ -229,11 +228,7 @@ def _cmd_reconstruct(args) -> int:
     if args.corrupt:
         rep = negative_control(datum, args.corrupt, n=args.samples, seed=args.seed)
     else:
-        make = make_g2_oracle if args.kind == "g2" else make_c2_oracle
-        recover = g2_recover if args.kind == "g2" else c2_recover
-        oracle, codec = make(datum)
-        rec = recover(oracle)
-        rep = verify_recovery(rec, codec, n=args.samples, seed=args.seed)
+        rep = verify_recovery(*recover(datum), n=args.samples, seed=args.seed)
     _emit(rep.to_dict(), args)
     if args.corrupt:
         return 0 if not rep.ok else 1
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "reconstruct", _cmd_reconstruct, _config, _sampling, _report,
               help="recover field data from the group oracle")
     p.add_argument("kind", choices=("g2", "c2"))
-    p.add_argument("--corrupt", choices=("wrong-param", "offset-mul", "reversed-mul"),
+    p.add_argument("--corrupt", choices=("wrong-param", "offset-mul"),
                    help="run the corrupted-oracle negative control")
 
     qs = _branch(sub, "suite", "run the seeded property suite")

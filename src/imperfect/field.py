@@ -37,6 +37,7 @@ class ParseError(ImperfectError, ValueError):
 
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} (at position {pos})")
+        self.msg = msg
         self.pos = pos
 
 
@@ -780,12 +781,7 @@ class RatFunc:
         self._check(other)
         if other.is_zero():
             raise FieldError("division by zero")
-        if self.is_zero():
-            return self
-        # (a/b)/(c/d) = (a*d)/(b*c), cancelled as in __mul__
-        a, c = _cancel(self.num, other.num)
-        d, b = _cancel(other.den, self.den)
-        return RatFunc(self.ctx, *_monic_den(a * d, b * c), reduce=False)
+        return self * other.inverse()
 
     def __pow__(self, k: int) -> "RatFunc":
         if k == 0:
@@ -1092,3 +1088,14 @@ def prod(xs: Iterable[RatFunc], one: RatFunc) -> RatFunc:
     for x in xs:
         acc = acc * x
     return acc
+
+
+def over_one_den(pairs: Sequence[tuple]) -> tuple:
+    """Numerators n_k and one denominator D with n_k / D = a_k / b_k for the
+    (a_k, b_k) in pairs, D the product of the distinct denominators of the
+    nonzero pairs; the numerators of a row have the rank of the row."""
+    one = pairs[0][1].ctx.one().den
+    dens = list(dict.fromkeys(d for n, d in pairs if n.terms and not d.is_one()))
+    if not dens:
+        return [n for n, _ in pairs], one
+    return [n * prod([e for e in dens if e != d], one) for n, d in pairs], prod(dens, one)

@@ -93,32 +93,16 @@ def _slot_member(datum: RootDatum2, slot: int) -> Callable[[OpaqueElem], bool]:
     return check
 
 
-def _make_oracle(datum: RootDatum2, kind: str, param_slots: Dict[str, int],
-                 handle_slots: Tuple[int, ...],
+def _make_oracle(datum: RootDatum2, slots: Tuple[int, ...],
                  corruption: Optional[str]) -> Tuple[GroupOracle, Codec]:
+    """The oracle with designated elements u_s = x_s(1) and handles for the slots."""
     ctx = datum.ctx
 
     def eq(x: OpaqueElem, y: OpaqueElem) -> bool:
         return x._u == y._u
 
-    if corruption == "reversed-mul":
-        # Kept as a robustness demonstration, not a detectable corruption:
-        # under reversed multiplication the commutator term comes out as
-        # [y^-1, x^-1], and every recovered map nests two commutators, so
-        # the flips cancel and recovery still verifies clean. In
-        # characteristic 2 even a single commutator is insensitive.
-        if ctx.p == 2:
-            raise SpecError(
-                "reversing multiplication is invisible in characteristic 2: "
-                "commutator values are central and self-inverse"
-            )
-
-        def mul(x: OpaqueElem, y: OpaqueElem) -> OpaqueElem:
-            return OpaqueElem(u_mult(y._u, x._u))
-
-    elif corruption == "offset-mul":
-        zslot = 4 if kind == "G2" else 3
-        z0 = datum.generator(zslot, ctx.one())
+    if corruption == "offset-mul":
+        z0 = datum.generator(datum.center[-1], ctx.one())
 
         def mul(x: OpaqueElem, y: OpaqueElem) -> OpaqueElem:
             return OpaqueElem(u_mult(u_mult(x._u, y._u), z0))
@@ -131,34 +115,26 @@ def _make_oracle(datum: RootDatum2, kind: str, param_slots: Dict[str, int],
     def inv(x: OpaqueElem) -> OpaqueElem:
         return OpaqueElem(u_inverse(x._u))
 
-    params = {name: OpaqueElem(datum.generator(slot, ctx.one()))
-              for name, slot in param_slots.items()}
+    params = {f"u{s}": OpaqueElem(datum.generator(s, ctx.one())) for s in slots}
     if corruption == "wrong-param":
-        name, slot = max(param_slots.items(), key=lambda kv: kv[1])
-        dom = datum.slot(slot).domain
-        c = None
-        if dom is not None and hasattr(dom, "basis"):
-            for b in dom.basis:
-                if not b.is_zero() and not b.is_one():
-                    c = b
-                    break
-        if c is None and dom is not None and getattr(dom, "gens", ()):
-            c = dom.gens[0]
-        if c is None:
-            c = ctx.gens()[0] ** ctx.p
-        params[name] = OpaqueElem(datum.generator(slot, c))
-    elif corruption not in (None, "reversed-mul", "offset-mul"):
+        # the last designated element gets a coordinate of its domain other than 1:
+        # a basis element, else a generator, else the p-th power of a variable
+        slot, dom = slots[-1], datum.slot(slots[-1]).domain
+        wrong = [b for b in getattr(dom, "basis", ()) if not b.is_zero() and not b.is_one()]
+        wrong += [*getattr(dom, "gens", ()), ctx.gens()[0] ** ctx.p]
+        params[f"u{slot}"] = OpaqueElem(datum.generator(slot, wrong[0]))
+    elif corruption not in (None, "offset-mul"):
         raise SpecError(f"unknown corruption {corruption!r}")
 
     oracle = GroupOracle(
-        kind=kind,
+        kind=datum.kind,
         eq=eq,
         mul=mul,
         inv=inv,
         identity=OpaqueElem(datum.identity()),
         params=params,
-        member={s: _slot_member(datum, s) for s in handle_slots},
-        sample={s: _slot_sampler(datum, s) for s in handle_slots},
+        member={s: _slot_member(datum, s) for s in slots},
+        sample={s: _slot_sampler(datum, s) for s in slots},
     )
     return oracle, Codec(datum)
 
@@ -168,7 +144,7 @@ def make_g2_oracle(datum: RootDatum2,
     """(U; U1, U6, u1, u6) for a hexagon datum."""
     if datum.kind != "G2":
         raise SpecError("need a hexagon datum")
-    return _make_oracle(datum, "G2", {"u1": 1, "u6": 6}, (1, 6), corruption)
+    return _make_oracle(datum, (1, 6), corruption)
 
 
 def make_c2_oracle(datum: RootDatum2,
@@ -176,8 +152,7 @@ def make_c2_oracle(datum: RootDatum2,
     """(U; U1..U4, u1..u4) for a quadrangle datum."""
     if datum.kind != "C2":
         raise SpecError("need a quadrangle datum")
-    return _make_oracle(datum, "C2", {"u1": 1, "u2": 2, "u3": 3, "u4": 4},
-                        (1, 2, 3, 4), corruption)
+    return _make_oracle(datum, (1, 2, 3, 4), corruption)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +559,15 @@ def _verify_c2(rec: C2Recovered, truth: Codec, n: int, rng: random.Random,
             rep.note(rec.star_test(rec.one_K0, rt, rt), "1*b != b")
 
 
+def recover(datum: RootDatum2, corruption: Optional[str] = None) -> tuple:
+    """(recovered structure, codec) from the datum's oracle, corrupted as asked."""
+    if datum.kind == "G2":
+        oracle, codec = make_g2_oracle(datum, corruption)
+        return g2_recover(oracle), codec
+    oracle, codec = make_c2_oracle(datum, corruption)
+    return c2_recover(oracle), codec
+
+
 def negative_control(datum: RootDatum2, corruption: str, n: int = 10,
                      seed: int = 0) -> VerifyReport:
     """Recover from a corrupted oracle and report how the corruption shows.
@@ -592,14 +576,10 @@ def negative_control(datum: RootDatum2, corruption: str, n: int = 10,
     the report as a mismatch) or as verification mismatches; a faithless
     oracle must never come back with an empty report.
     """
-    make = make_g2_oracle if datum.kind == "G2" else make_c2_oracle
-    recover = g2_recover if datum.kind == "G2" else c2_recover
-    oracle, codec = make(datum, corruption=corruption)
     try:
-        rec = recover(oracle)
+        rec, codec = recover(datum, corruption)
     except ReconstructError as e:
-        rep = VerifyReport(datum.kind, checks=1, mismatches=[f"recovery: {e}"])
-        return rep
+        return VerifyReport(datum.kind, checks=1, mismatches=[f"recovery: {e}"])
     return verify_recovery(rec, codec, n=n, seed=seed)
 
 

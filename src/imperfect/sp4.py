@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import Context, FieldError, RatFunc, prod, pth_root, render_element
+from .field import Context, FieldError, RatFunc, over_one_den, pth_root, render_element
 from .rank1 import Membership, TimmesfeldData, TorusWitness, torus_membership
 from .tower import IndifferentSpec, InvariantViolation, RSpaceSpec, SpecError, SubfieldSpec
 from .unipotent import RootDatum2, TorusElement2, UElement, c2_datum
@@ -216,16 +216,6 @@ def _u_pairs(u: UElement) -> list:
     return [[o, t, plus_times_t(c, a), plus_times_t(b, c)], [z, o, a, c], [z, z, o, t], [z, z, z, o]]
 
 
-def _over_one_den(pairs: list) -> tuple:
-    """Numerators n_k and one denominator D with pairs[k] = n_k / D, D the
-    product of the distinct denominators of the nonzero pairs."""
-    one = pairs[0][1].ctx.one().den
-    dens = list(dict.fromkeys(d for n, d in pairs if n.terms and not d.is_one()))
-    if not dens:
-        return [n for n, _ in pairs], one
-    return [n * prod([e for e in dens if e != d], one) for n, d in pairs], prod(dens, one)
-
-
 # ---------------------------------------------------------------------------
 # Weyl group
 # ---------------------------------------------------------------------------
@@ -241,22 +231,6 @@ _CHAMBER = {perm: w for w, perm in _WEYL_PERM.items()}
 
 WEYL_WORDS = tuple(_WEYL_PERM)
 
-# positive roots in slot order, as (x, y) meaning x*alpha + y*beta
-_POS_ROOTS = {1: (1, 0), 2: (2, 1), 3: (1, 1), 4: (0, 1)}
-
-
-def _reflect(letter: str, root: Tuple[int, int]) -> Tuple[int, int]:
-    x, y = root
-    if letter == "a":
-        return (2 * y - x, y)
-    return (x, x - y)
-
-
-def weyl_apply(word: str, root: Tuple[int, int]) -> Tuple[int, int]:
-    for letter in reversed(word.replace("e", "")):
-        root = _reflect(letter, root)
-    return root
-
 
 def weyl_rep(word: str, ctx: Context) -> Mat4:
     if word not in _WEYL_PERM:
@@ -266,13 +240,16 @@ def weyl_rep(word: str, ctx: Context) -> Mat4:
     return Mat4(ctx, [[o if perm[j] == i else z for j in range(4)] for i in range(4)])
 
 
-def _negative(root: Tuple[int, int]) -> bool:
-    return root[0] < 0 or root[1] < 0
-
-
 def descent_slots(word: str) -> Tuple[int, ...]:
-    """Positive slots sent negative; the canonical support of the tail part."""
-    return tuple(s for s, r in _POS_ROOTS.items() if _negative(weyl_apply(word, r)))
+    """Positive slots sent negative by w; the canonical support of the tail part.
+
+    n_w E_ij n_w^-1 = E_{perm[i], perm[j]} for perm = _WEYL_PERM[w], so the
+    root of a slot goes negative exactly when perm[i] > perm[j] at the first
+    matrix position (i, j) of that root in _ROOT_TABLE: an inversion of perm.
+    """
+    perm = _WEYL_PERM[word]
+    firsts = {s: _ROOT_TABLE[name][2][0] for s, name in SLOT_ROOT.items()}
+    return tuple(s for s, (i, j) in firsts.items() if perm[i] > perm[j])
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +284,9 @@ class Bruhat4:
         d = [(sa.num, sa.den), (sb.num * sa.den, sb.den * sa.num),
              (sa.num * sb.den, sa.den * sb.num), (sa.den, sa.num)]
         U1, U2 = _u_pairs(self.u1), _u_pairs(self.u2)
-        cols = [_over_one_den(U2[3 - j][::-1]) for j in range(4)]
+        cols = [over_one_den(U2[3 - j][::-1]) for j in range(4)]
         for i, row in enumerate(g.rows):
-            G, D = _over_one_den([(x.num, x.den) for x in row])
+            G, D = over_one_den([(x.num, x.den) for x in row])
             for j, (C, E) in enumerate(cols):
                 acc = sum((x * y for x, y in zip(G, C) if x.terms and y.terms), zero)
                 (a, b), (c, e) = U1[i][perm[j]], d[perm[j]]

@@ -21,8 +21,7 @@ from .presets import Bundle
 from .rank1 import (bruhat2, factor_codim1, field_structure, gen, mult_bruhat,
                     perfectness_witness, rand_L_element, rand_L_word,
                     torus_membership)
-from .reconstruct import (c2_recover, g2_recover, make_c2_oracle, make_g2_oracle,
-                          negative_control, verify_recovery)
+from .reconstruct import negative_control, recover, verify_recovery
 from .sp4 import (SLOT_ROOT, Sp4Root, chevalley_gen, identity4, perfectness_witness_sp4,
                   slot_domain, sp4_bruhat, torus_matrix, weyl_rep)
 from .tower import validate_indifferent, validate_tower
@@ -257,22 +256,30 @@ def _chk_rank1_witness(cfg, rng, inst):
                         {"s": render_element(s), "tau": render_element(tau)})
 
 
+def _rand_uword(datum, rng, max_terms):
+    """A random normal form: each slot gets a coordinate from its domain with chance 1/2."""
+    x = datum.identity()
+    for slot in range(1, datum.nslots + 1):
+        if rng.random() >= 0.5:
+            x = u_mult(x, datum.generator(slot, datum.rand_coord(slot, rng, max_terms)))
+    return x
+
+
 def _chk_unipotent_assoc(cfg, rng, inst):
+    # whole normal forms, so that collecting x * y and y * x in u_mult_alt
+    # commutes generators past each other and so meets every relation
     for key in ("g2", "c2"):
         datum = inst[key]
         n = max(8, cfg.samples // 3)
         for _ in range(n):
-            xs = []
-            for _ in range(3):
-                slot = rng.randrange(1, datum.nslots + 1)
-                xs.append(datum.generator(slot, datum.rand_coord(slot, rng, 2)))
-            x, y, z = xs
+            x, y, z = (_rand_uword(datum, rng, 2) for _ in range(3))
             if u_mult(u_mult(x, y), z) != u_mult(x, u_mult(y, z)):
                 raise _Fail(f"{key}: associativity broke",
                             {"x": repr(x), "y": repr(y), "z": repr(z)})
-            if u_mult(x, y) != u_mult_alt(x, y):
-                raise _Fail(f"{key}: the two multiplication algorithms disagree",
-                            {"x": repr(x), "y": repr(y)})
+            for a, b in ((x, y), (y, x)):
+                if u_mult(a, b) != u_mult_alt(a, b):
+                    raise _Fail(f"{key}: the two multiplication algorithms disagree",
+                                {"x": repr(a), "y": repr(b)})
             if not u_mult(x, u_inverse(x)).is_identity():
                 raise _Fail(f"{key}: inverse failed", {"x": repr(x)})
 
@@ -281,14 +288,7 @@ def _chk_unipotent_center(cfg, rng, inst):
     for key in ("g2", "c2"):
         datum = inst[key]
         for _ in range(max(10, cfg.samples // 2)):
-            word = []
-            for slot in range(1, datum.nslots + 1):
-                if rng.random() < 0.5:
-                    continue
-                word.append(datum.generator(slot, datum.rand_coord(slot, rng, 1)))
-            x = datum.identity()
-            for w in word:
-                x = u_mult(x, w)
+            x = _rand_uword(datum, rng, 1)
             # these raise if the coordinate and commutator views disagree
             center_member(x)
             z2_member(x)
@@ -367,11 +367,7 @@ def _chk_sp4_witness(cfg, rng, inst):
 
 
 def _chk_reconstruct(key, cfg, rng, inst):
-    datum = inst[key]
-    make = make_g2_oracle if datum.kind == "G2" else make_c2_oracle
-    recover = g2_recover if datum.kind == "G2" else c2_recover
-    oracle, codec = make(datum)
-    rep = verify_recovery(recover(oracle), codec, n=max(6, cfg.samples // 4),
+    rep = verify_recovery(*recover(inst[key]), n=max(6, cfg.samples // 4),
                           seed=rng.randrange(2 ** 32))
     if not rep.ok:
         raise _Fail(f"{len(rep.mismatches)} mismatches",

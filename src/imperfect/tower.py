@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from . import _linalg
-from .field import Context, FieldError, ImperfectError, RatFunc, prod, render_element
+from .field import Context, FieldError, ImperfectError, RatFunc, over_one_den, render_element
 from .pbasis import LambdaCoords, PBasis, differential, is_p_independent, lambda_numerators
 
 
@@ -276,15 +276,10 @@ def _sample_independent_subset(
     ctx = R.ctx
     one_row = [ctx.one() if b.is_one() else ctx.zero() for b in R.basis]
     coordvecs = [R.rand_coords(rng) for _ in range(k)]
-    if len(_linalg.pivots([_cleared(row) for row in [one_row] + coordvecs])) != k + 1:
+    rows = [over_one_den([(x.num, x.den) for x in row])[0] for row in [one_row] + coordvecs]
+    if len(_linalg.pivots(rows)) != k + 1:
         return None
     return [R.evaluate(cv) for cv in coordvecs]
-
-
-def _cleared(row: Sequence[RatFunc]) -> list:
-    """The row times the product of its distinct denominators: polynomials, of the same rank."""
-    dens = {x.den for x in row}
-    return [x.num * prod(dens - {x.den}, row[0].ctx.const_poly(1)) for x in row]
 
 
 def validate_tower(

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .field import Context, FieldError, RatFunc, parse_element, render_element
+from .field import Context, FieldError, ParseError, RatFunc, parse_element, render_element
 from .tower import InvariantViolation, RSpaceSpec, SpecError, SubfieldSpec
 
 Domain = Union[None, SubfieldSpec, RSpaceSpec]
@@ -43,6 +43,10 @@ class Slot:
 
 @dataclass
 class RootDatum2:
+    """U on ordered root slots. `center` and `z2` are the slots spanning Z(U)
+    and Z2(U), read off the commutator table where the datum is built; x lies
+    in either exactly when its coordinates vanish outside those slots."""
+
     kind: str  # "G2" | "C2"
     ctx: Context
     slots: List[Slot]
@@ -50,6 +54,8 @@ class RootDatum2:
     exponents: Dict[int, Tuple[int, int]]
     mul: Callable[[Coords, Coords], Coords]  # the group law on normal-form coordinates
     inv: Callable[[Coords], Coords]
+    center: Tuple[int, ...]
+    z2: Tuple[int, ...]
 
     @property
     def nslots(self) -> int:
@@ -89,6 +95,7 @@ def g2_datum(ctx: Context, k: SubfieldSpec) -> RootDatum2:
       [x1(a), x5(b)] = x3(-ab)
       [x2(t), x6(u)] = x4(tu)
       [x1(a), x6(t)] = x2(-t a^3) x3(t a^2) x4(t^2 a^3) x5(-t a)
+    so slots 3 and 4 span the center and slots 2 to 5 the second center.
 
     Collected once, they give the product `mul` and the inverse `inv` below,
     which need no closure check: each long-slot term is a product of long
@@ -135,13 +142,14 @@ def g2_datum(ctx: Context, k: SubfieldSpec) -> RootDatum2:
     ]
     exponents = {1: (2, -1), 2: (3, -1), 3: (1, 0), 4: (0, 1), 5: (-1, 1), 6: (-3, 2)}
     return RootDatum2("G2", ctx, slots, {(1, 5): r15, (2, 6): r26, (1, 6): r16},
-                      exponents, mul, inv)
+                      exponents, mul, inv, center=(3, 4), z2=(2, 3, 4, 5))
 
 
 def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -> RootDatum2:
     """Quadrangle data: slots 1,3 short over K0 and 2,4 long over L0.
 
-    The single nontrivial commutator is [x1(t), x4(a)] = x2(t^2 a) x3(t a).
+    The single nontrivial commutator is [x1(t), x4(a)] = x2(t^2 a) x3(t a),
+    so slots 2 and 3 span the center and the group has class 2.
     Collected once on coordinates (t, b, c, a), it gives the product `mul`
     and the inverse `inv` below, whose only new terms are t^2 a and t a.
     These lie in L0 and K0 for all t in K0, a in L0 exactly when k_i l_j lies
@@ -182,7 +190,8 @@ def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -
         Slot(4, "long", L0),
     ]
     exponents = {1: (2, -1), 2: (2, 0), 3: (0, 1), 4: (-2, 2)}
-    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents, mul, inv)
+    return RootDatum2("C2", ctx, slots, {(1, 4): r14}, exponents, mul, inv,
+                      center=(2, 3), z2=(1, 2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -292,27 +301,18 @@ def centralizes(x: UElement, y: UElement) -> bool:
 
 def _probe_generators(datum: RootDatum2) -> Tuple[UElement, UElement]:
     one = datum.ctx.one()
-    if datum.kind == "G2":
-        return datum.generator(1, one), datum.generator(6, one)
-    return datum.generator(1, one), datum.generator(4, one)
+    return datum.generator(1, one), datum.generator(datum.nslots, one)
 
 
-def _center_coords(datum: RootDatum2, x: UElement) -> bool:
-    zero_slots = (1, 2, 5, 6) if datum.kind == "G2" else (1, 4)
-    return all(x.coords[s - 1].is_zero() for s in zero_slots)
-
-
-def _z2_coords(datum: RootDatum2, x: UElement) -> bool:
-    if datum.kind == "G2":
-        return x.coords[0].is_zero() and x.coords[5].is_zero()
-    return True  # the quadrangle group has class 2
+def _supported_on(x: UElement, slots: Tuple[int, ...]) -> bool:
+    return all(c.is_zero() for s, c in enumerate(x.coords, 1) if s not in slots)
 
 
 def center_member(x: UElement) -> bool:
     """Coordinate test for the center, cross-checked against commutation
     with the extreme root generators."""
     datum = x.datum
-    by_coords = _center_coords(datum, x)
+    by_coords = _supported_on(x, datum.center)
     u_lo, u_hi = _probe_generators(datum)
     by_comm = centralizes(x, u_lo) and centralizes(x, u_hi)
     if by_coords != by_comm:
@@ -325,11 +325,10 @@ def center_member(x: UElement) -> bool:
 
 def z2_member(x: UElement) -> bool:
     datum = x.datum
-    by_coords = _z2_coords(datum, x)
+    by_coords = _supported_on(x, datum.z2)
     u_lo, u_hi = _probe_generators(datum)
-    by_comm = _center_coords(datum, commutator(x, u_lo)) and _center_coords(
-        datum, commutator(x, u_hi)
-    )
+    by_comm = (_supported_on(commutator(x, u_lo), datum.center)
+               and _supported_on(commutator(x, u_hi), datum.center))
     if by_coords != by_comm:
         raise InvariantViolation(
             f"second-center characterizations disagree on {x!r}: "
@@ -414,7 +413,10 @@ def parse_uword(text: str, datum: RootDatum2) -> UElement:
         if depth:
             raise SpecError("unbalanced parentheses in word")
         expr = text[m.end() : i - 1]
-        coord = parse_element(expr, datum.ctx)
+        try:
+            coord = parse_element(expr, datum.ctx)
+        except ParseError as e:
+            raise SpecError(f"{e.msg} at position {m.end() + e.pos}") from None
         out = u_mult(out, datum.generator(slot, coord))
         pos = i
         if pos == len(text):

@@ -5,7 +5,7 @@ import shlex
 import time
 from pathlib import Path
 
-from imperfect import cli, suite
+from imperfect import cli, reconstruct, suite
 from imperfect.cli import main
 from imperfect.field import ParseError, parse_element
 from imperfect.presets import Bundle, write_preset
@@ -300,6 +300,21 @@ def test_u_mult_rejects_a_trailing_star_and_the_empty_word(capsys):
         assert err.startswith("error: expected xN(...) at position ")
 
 
+def test_u_mult_reports_a_malformed_coordinate_at_its_place_in_the_word(capsys):
+    # a coordinate's parse error is a malformed word: exit 1, with the
+    # position counted from the start of the word
+    for argv, msg in (
+        (["--kind", "c2", "-p", "2", "--vars", "t,u", "x1(t+)", "x4(u)"],
+         "unexpected token None at position 5"),
+        (["--kind", "g2", "-p", "3", "--vars", "s", "x1(s)*x6(1/0)", "x1(s)"],
+         "division by zero at position 10"),
+    ):
+        code, out, err = run(capsys, "u", "mult", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {msg}\n"
+
+
 def test_u_center(capsys):
     code, out, _ = run(capsys, "u", "center", "--kind", "g2",
                        "--config", "g2", "x4(s)")
@@ -435,7 +450,7 @@ def test_reconstruct_error_is_exit_one(monkeypatch, capsys):
     def broken(oracle):
         raise ReconstructError("designated elements must be nontrivial")
 
-    monkeypatch.setattr(cli, "g2_recover", broken)
+    monkeypatch.setattr(reconstruct, "g2_recover", broken)
     code, out, err = run(capsys, "reconstruct", "g2", "--config", "g2", "--samples", "2")
     assert code == 1
     assert out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from imperfect.reconstruct import (
     make_c2_oracle,
     make_g2_oracle,
     negative_control,
+    recover,
     verify_recovery,
     _c2_k0rep,
     _c2_l0rep,
@@ -157,18 +159,21 @@ def test_negative_controls_report_mismatches():
 
 
 def test_reversed_mul_is_invisible_in_g2():
-    # the opposite group: doubly nested commutator terms cancel the flip,
-    # so the recovered structure still verifies; kept as a robustness check
-    datum = Bundle.load("g2").g2()
-    oracle, codec = make_g2_oracle(datum, corruption="reversed-mul")
-    report = verify_recovery(g2_recover(oracle), codec, n=10, seed=1)
+    # the opposite group: x*y -> y*x turns each commutator into [y^-1, x^-1],
+    # and every recovered map nests two commutators, so the flips cancel and
+    # recovery from the opposite oracle still verifies clean
+    datum, (oracle, codec) = g2_pair()
+    opposite = dataclasses.replace(oracle, mul=lambda x, y: oracle.mul(y, x))
+    report = verify_recovery(g2_recover(opposite), codec, n=10, seed=1)
     assert report.ok, report.mismatches[:3]
 
 
-def test_reversed_mul_rejected_for_c2():
-    datum = Bundle.load("indifferent-weak").c2()
-    with pytest.raises(SpecError):
-        make_c2_oracle(datum, corruption="reversed-mul")
+def test_unknown_corruption_is_rejected():
+    # reversing the multiplication is no corruption (see the test above)
+    for datum in (Bundle.load("g2").g2(), Bundle.load("indifferent-weak").c2()):
+        for corruption in ("reversed-mul", "no-such-mode"):
+            with pytest.raises(SpecError, match="unknown corruption"):
+                recover(datum, corruption)
 
 
 def test_wrong_param_fails_at_recovery_for_c2():

@@ -35,7 +35,6 @@ from imperfect.sp4 import (
     torus_matrix,
     torus_normalizer_check,
     u_to_mat,
-    weyl_apply,
     weyl_rep,
 )
 from imperfect.tower import IndifferentSpec, InvariantViolation, SpecError
@@ -496,6 +495,18 @@ def test_weyl_words_are_distinct():
         assert is_symplectic(weyl_rep(w, CTX))
 
 
+# positive roots in slot order, as (x, y) meaning x*alpha + y*beta
+POS_ROOTS = {1: (1, 0), 2: (2, 1), 3: (1, 1), 4: (0, 1)}
+
+
+def weyl_apply(word: str, root: Tuple[int, int]) -> Tuple[int, int]:
+    """The reflection action of w on roots; an oracle for descent_slots."""
+    for letter in reversed(word.replace("e", "")):
+        x, y = root
+        root = (2 * y - x, y) if letter == "a" else (x, x - y)
+    return root
+
+
 def test_weyl_apply_reflections():
     # the simple reflections act on (x, y) coordinates of x*alpha + y*beta
     assert weyl_apply("a", (1, 0)) == (-1, 0)
@@ -506,6 +517,17 @@ def test_weyl_apply_reflections():
     assert weyl_apply("abab", (0, 1)) == (0, -1)
     assert descent_slots("e") == ()
     assert set(descent_slots("abab")) == {1, 2, 3, 4}
+
+
+def test_descent_slots_are_the_roots_the_reflections_send_negative():
+    # descent_slots reads inversions of n_w's permutation; the reflection
+    # action on root coordinates is the independent oracle
+    for w in WEYL_WORDS:
+        want = tuple(s for s, r in POS_ROOTS.items() if min(weyl_apply(w, r)) < 0)
+        assert descent_slots(w) == want, w
+    # a reduced word of length l has exactly l descents
+    assert [len(descent_slots(w)) for w in WEYL_WORDS] == [len(w.replace("e", ""))
+                                                           for w in WEYL_WORDS]
 
 
 def test_torus_coords_roundtrip():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from imperfect import suite, unipotent
 from imperfect.field import Context, FieldError
 from imperfect.presets import Bundle
 from imperfect.tower import InvariantViolation, SpecError, SubfieldSpec
@@ -376,3 +377,21 @@ def test_equality_requires_same_datum():
     x1 = d1.generator(1, d1.ctx.var("s"))
     x2 = d2.generator(1, d2.ctx.var("s"))
     assert x1 != x2  # different datum objects carry different domains
+
+
+def test_the_suite_collects_through_every_relation(monkeypatch):
+    # the suite's u_mult / u_mult_alt comparison checks the closed-form laws
+    # against the commutator table only where collection uses the table
+    fired = set()
+    real = unipotent._comm_negated
+
+    def counting(datum, i, j, a, b):
+        if (i, j) in datum.relations:
+            fired.add((datum.kind, i, j))
+        return real(datum, i, j, a, b)
+
+    monkeypatch.setattr(unipotent, "_comm_negated", counting)
+    cfg = suite.SuiteConfig(seed=0)
+    assert suite.run_suite(cfg).ok
+    inst = suite._instances(cfg)
+    assert fired == {(d.kind, i, j) for d in (inst["g2"], inst["c2"]) for i, j in d.relations}
