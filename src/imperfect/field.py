@@ -934,6 +934,11 @@ def _tokenize(s: str, ctx: Context) -> Iterator[tuple]:
     yield ("end", None, len(s))
 
 
+def _named(t: tuple) -> str:
+    """Token t as parse errors name it."""
+    return "end of input" if t[0] == "end" else f"token {t[1]!r}"
+
+
 # input budget: a power in parsed input may have at most this total degree
 MAX_POWER_DEGREE = 256
 
@@ -955,7 +960,7 @@ class _Parser:
     def expect(self, kind: str):
         t = self.next()
         if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {t[1]!r}", t[2])
+            raise ParseError(f"expected {kind!r}, got {_named(t)}", t[2])
         return t
 
     def parse_expr(self) -> RatFunc:
@@ -1006,7 +1011,7 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {t[1]!r}", t[2])
+        raise ParseError(f"unexpected {_named(t)}", t[2])
 
 
 # a sum of monomials as render_poly prints them, '-' signs allowed: numbers and

@@ -15,6 +15,7 @@ product a*b = a^2 b.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -49,6 +50,14 @@ class OpaqueElem:
 
 @dataclass
 class GroupOracle:
+    """A black-box group: equality, product, inverse, designated elements, and
+    membership and sampling handles for root lines.
+
+    `eq`, `mul` and `inv` are functions: the same question always gets the same
+    answer (equal answers for `mul` and `inv`). Recovery and verification rest
+    on this, and ask each `mul` and `inv` question once (see `_asking`).
+    """
+
     kind: str  # "G2" | "C2"
     eq: Callable[[OpaqueElem, OpaqueElem], bool]
     mul: Callable[[OpaqueElem, OpaqueElem], OpaqueElem]
@@ -77,6 +86,30 @@ class Codec:
             if s != slot:
                 return None
         return u.coords[slot - 1]
+
+
+def _asking(o: GroupOracle) -> GroupOracle:
+    """A view of o that puts each mul and inv question to o once.
+
+    Answers are keyed on the ids of the arguments, and the arguments are kept
+    with them, so no id is reused while the view lives; the view lives for one
+    recovery or one verification sample. eq, member and sample go straight to o.
+    """
+    answers: Dict[tuple, tuple] = {}
+
+    def mul(x: OpaqueElem, y: OpaqueElem) -> OpaqueElem:
+        key = (id(x), id(y))
+        if key not in answers:
+            answers[key] = (o.mul(x, y), x, y)
+        return answers[key][0]
+
+    def inv(x: OpaqueElem) -> OpaqueElem:
+        key = (id(x),)
+        if key not in answers:
+            answers[key] = (o.inv(x), x)
+        return answers[key][0]
+
+    return dataclasses.replace(o, mul=mul, inv=inv)
 
 
 def _slot_sampler(datum: RootDatum2, slot: int) -> Callable[[random.Random], OpaqueElem]:
@@ -284,6 +317,7 @@ def g2_recover(o: GroupOracle) -> G2Recovered:
         raise ReconstructError("designated elements must be nontrivial")
     if not o.member[1](o.params["u1"]) or not o.member[6](o.params["u6"]):
         raise ReconstructError("designated elements are off their lines")
+    caller, o = o, _asking(o)  # the diagnostics ask each question once
     rec = G2Recovered(
         oracle=o,
         zero=PairRep(o.identity, o.identity),
@@ -312,7 +346,7 @@ def g2_recover(o: GroupOracle) -> G2Recovered:
         if not o.eq(rec.m2_line(e1, o.mul(f1, f2)),
                     o.mul(rec.m2_line(e1, f1), rec.m2_line(e1, f2))):
             raise ReconstructError("pairing fails linearity on the second slot")
-    return rec
+    return dataclasses.replace(rec, oracle=caller)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +447,7 @@ def c2_recover(o: GroupOracle) -> C2Recovered:
             raise ReconstructError(f"designated element {name} is off its line")
         if o.eq(o.params[name], o.identity):
             raise ReconstructError("designated elements must be nontrivial")
+    caller, o = o, _asking(o)  # the diagnostics ask each question once
     rec = C2Recovered(
         oracle=o,
         zero_K0=K0Rep(o.identity, o.identity, o.identity, o.identity),
@@ -434,7 +469,7 @@ def c2_recover(o: GroupOracle) -> C2Recovered:
             "designated elements do not tie together as a unit coordinate; "
             "the parameters are inconsistent"
         )
-    return rec
+    return dataclasses.replace(rec, oracle=caller)
 
 
 # ---------------------------------------------------------------------------
@@ -474,39 +509,39 @@ def _g2_kkrep(rec: G2Recovered, truth: Codec, t: RatFunc) -> PairRep:
     return PairRep(truth.from_coord(1, t), truth.from_coord(6, t))
 
 
-def _verify_g2(rec: G2Recovered, truth: Codec, n: int, rng: random.Random,
+def _verify_g2(rec: G2Recovered, truth: Codec, first: bool, rng: random.Random,
                rep: VerifyReport):
+    """One verification sample of a hexagon recovery."""
     ctx = truth.datum.ctx
     kfield = truth.datum.slot(6).domain
-    for i in range(n):
-        a = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
-        b = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
-        t = kfield.rand_element(rng)
-        ra, rb = _g2_krep(rec, truth, a), _g2_krep(rec, truth, b)
-        rt = _g2_kkrep(rec, truth, t)
-        o = rec.oracle
-        rep.note(rec.is_K(ra), f"K carrier rejects {render_element(a)}")
-        rep.note(rec.is_k(rt), f"k carrier rejects {render_element(t)}")
-        bad = PairRep(truth.from_coord(1, a), truth.from_coord(6, a ** 3 + ctx.one()))
-        rep.note(not rec.is_K(bad), "K carrier accepts an untied pair")
-        s = rec.add(ra, rb)
-        want = _g2_krep(rec, truth, a + b)
-        rep.note(o.eq(s.e, want.e) and o.eq(s.f, want.f),
-                 f"addition wrong at {render_element(a)} + {render_element(b)}")
-        rc = _g2_krep(rec, truth, a * b)
-        rep.note(rec.mul_test(ra, rb, rc),
-                 f"product graph rejects {render_element(a * b)}")
-        wrong = _g2_krep(rec, truth, a * b + ctx.one())
-        rep.note(not rec.mul_test(ra, rb, wrong), "product graph accepts an offset")
-        rep.note(o.eq(rec.xi_line(ra.e), truth.from_coord(4, a ** 3)),
-                 f"cubing wrong at {render_element(a)}")
-        rep.note(o.eq(rec.j_line(ra.e), truth.from_coord(3, a)),
-                 "slot-3 identification wrong")
-        rep.note(rec.k_rep_of_K(rt, _g2_krep(rec, truth, t)),
-                 "subfield embedding disagrees")
-        if i == 0:
-            rep.note(rec.mul_test(rec.one, rec.one, rec.one), "1*1 != 1")
-            rep.note(rec.is_K(rec.zero) and rec.is_k(rec.zero), "0 not in carriers")
+    a = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
+    b = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
+    t = kfield.rand_element(rng)
+    ra, rb = _g2_krep(rec, truth, a), _g2_krep(rec, truth, b)
+    rt = _g2_kkrep(rec, truth, t)
+    o = rec.oracle
+    rep.note(rec.is_K(ra), f"K carrier rejects {render_element(a)}")
+    rep.note(rec.is_k(rt), f"k carrier rejects {render_element(t)}")
+    bad = PairRep(truth.from_coord(1, a), truth.from_coord(6, a ** 3 + ctx.one()))
+    rep.note(not rec.is_K(bad), "K carrier accepts an untied pair")
+    s = rec.add(ra, rb)
+    want = _g2_krep(rec, truth, a + b)
+    rep.note(o.eq(s.e, want.e) and o.eq(s.f, want.f),
+             f"addition wrong at {render_element(a)} + {render_element(b)}")
+    rc = _g2_krep(rec, truth, a * b)
+    rep.note(rec.mul_test(ra, rb, rc),
+             f"product graph rejects {render_element(a * b)}")
+    wrong = _g2_krep(rec, truth, a * b + ctx.one())
+    rep.note(not rec.mul_test(ra, rb, wrong), "product graph accepts an offset")
+    rep.note(o.eq(rec.xi_line(ra.e), truth.from_coord(4, a ** 3)),
+             f"cubing wrong at {render_element(a)}")
+    rep.note(o.eq(rec.j_line(ra.e), truth.from_coord(3, a)),
+             "slot-3 identification wrong")
+    rep.note(rec.k_rep_of_K(rt, _g2_krep(rec, truth, t)),
+             "subfield embedding disagrees")
+    if first:
+        rep.note(rec.mul_test(rec.one, rec.one, rec.one), "1*1 != 1")
+        rep.note(rec.is_K(rec.zero) and rec.is_k(rec.zero), "0 not in carriers")
 
 
 def _c2_k0rep(truth: Codec, t: RatFunc) -> K0Rep:
@@ -518,45 +553,45 @@ def _c2_l0rep(truth: Codec, a: RatFunc) -> L0Rep:
     return L0Rep(truth.from_coord(4, a), truth.from_coord(2, a))
 
 
-def _verify_c2(rec: C2Recovered, truth: Codec, n: int, rng: random.Random,
+def _verify_c2(rec: C2Recovered, truth: Codec, first: bool, rng: random.Random,
                rep: VerifyReport):
+    """One verification sample of a quadrangle recovery."""
     ctx = truth.datum.ctx
     K0 = truth.datum.slot(1).domain
     L0 = truth.datum.slot(4).domain
     o = rec.oracle
-    for i in range(n):
-        t = K0.rand_element(rng)
-        s = K0.rand_element(rng)
-        a = L0.rand_element(rng)
-        rt, rs = _c2_k0rep(truth, t), _c2_k0rep(truth, s)
-        ga = _c2_l0rep(truth, a)
-        rep.note(rec.is_K0(rt), f"K0 carrier rejects {render_element(t)}")
-        rep.note(rec.is_L0(ga), f"L0 carrier rejects {render_element(a)}")
-        bad = K0Rep(rt.e, truth.from_coord(3, t + ctx.one()), rt.g2, rt.z2)
-        rep.note(not rec.is_K0(bad), "K0 carrier accepts an untied tuple")
-        sm = rec.add_K0(rt, rs)
-        want = _c2_k0rep(truth, t + s)
-        rep.note(all(o.eq(x, y) for x, y in
-                     ((sm.e, want.e), (sm.z3, want.z3), (sm.g2, want.g2),
-                      (sm.z2, want.z2))),
-                 "K0 addition wrong")
-        sq = rec.square(rt)
-        wantsq = _c2_l0rep(truth, t * t)
-        rep.note(o.eq(sq.g, wantsq.g) and o.eq(sq.z2, wantsq.z2)
-                 and rec.is_L0(sq), "squaring wrong")
-        rep.note(rec.star_test(rt, rs, _c2_k0rep(truth, t * t * s)),
-                 f"star graph rejects {render_element(t * t * s)}")
-        rep.note(not rec.star_test(rt, rs, _c2_k0rep(truth, t * t * s + ctx.one())),
-                 "star graph accepts an offset")
-        rep.note(o.eq(rec.i3_line(ga), truth.from_coord(3, a)),
-                 "L0 slot-3 image wrong")
-        rep.note(rec.l0_in_k0(ga, _c2_k0rep(truth, a)),
-                 "L0 element does not witness its K0 copy")
-        c2_coord = truth.line_coord(rec.line2(ga), 2)
-        rep.note(c2_coord is not None and L0.member(c2_coord) is not None,
-                 "slot-2 line image leaves L0")
-        if i == 0:
-            rep.note(rec.star_test(rec.one_K0, rt, rt), "1*b != b")
+    t = K0.rand_element(rng)
+    s = K0.rand_element(rng)
+    a = L0.rand_element(rng)
+    rt, rs = _c2_k0rep(truth, t), _c2_k0rep(truth, s)
+    ga = _c2_l0rep(truth, a)
+    rep.note(rec.is_K0(rt), f"K0 carrier rejects {render_element(t)}")
+    rep.note(rec.is_L0(ga), f"L0 carrier rejects {render_element(a)}")
+    bad = K0Rep(rt.e, truth.from_coord(3, t + ctx.one()), rt.g2, rt.z2)
+    rep.note(not rec.is_K0(bad), "K0 carrier accepts an untied tuple")
+    sm = rec.add_K0(rt, rs)
+    want = _c2_k0rep(truth, t + s)
+    rep.note(all(o.eq(x, y) for x, y in
+                 ((sm.e, want.e), (sm.z3, want.z3), (sm.g2, want.g2),
+                  (sm.z2, want.z2))),
+             "K0 addition wrong")
+    sq = rec.square(rt)
+    wantsq = _c2_l0rep(truth, t * t)
+    rep.note(o.eq(sq.g, wantsq.g) and o.eq(sq.z2, wantsq.z2)
+             and rec.is_L0(sq), "squaring wrong")
+    rep.note(rec.star_test(rt, rs, _c2_k0rep(truth, t * t * s)),
+             f"star graph rejects {render_element(t * t * s)}")
+    rep.note(not rec.star_test(rt, rs, _c2_k0rep(truth, t * t * s + ctx.one())),
+             "star graph accepts an offset")
+    rep.note(o.eq(rec.i3_line(ga), truth.from_coord(3, a)),
+             "L0 slot-3 image wrong")
+    rep.note(rec.l0_in_k0(ga, _c2_k0rep(truth, a)),
+             "L0 element does not witness its K0 copy")
+    c2_coord = truth.line_coord(rec.line2(ga), 2)
+    rep.note(c2_coord is not None and L0.member(c2_coord) is not None,
+             "slot-2 line image leaves L0")
+    if first:
+        rep.note(rec.star_test(rec.one_K0, rt, rt), "1*b != b")
 
 
 def recover(datum: RootDatum2, corruption: Optional[str] = None) -> tuple:
@@ -588,16 +623,17 @@ def verify_recovery(rec, truth: Codec, n: int = 100, seed: int = 0) -> VerifyRep
 
     `truth` is the codec tying oracle elements to coordinates; the report
     lists every mismatch and must come back empty for a faithful oracle.
+    Each draw asks each oracle question once, through its own view.
     """
-    rng = random.Random(seed)
     if isinstance(rec, G2Recovered):
-        rep = VerifyReport("G2")
-        _verify_g2(rec, truth, n, rng, rep)
+        rep, sample = VerifyReport("G2"), _verify_g2
     elif isinstance(rec, C2Recovered):
-        rep = VerifyReport("C2")
-        _verify_c2(rec, truth, n, rng, rep)
+        rep, sample = VerifyReport("C2"), _verify_c2
     else:
         raise SpecError("unknown recovered structure")
+    rng = random.Random(seed)
+    for i in range(n):
+        sample(dataclasses.replace(rec, oracle=_asking(rec.oracle)), truth, i == 0, rng, rep)
     return rep
 
 

@@ -31,9 +31,13 @@ def test_field_eval(capsys):
 
 
 def test_field_eval_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "field", "eval", "t+")
-    assert code == 2
-    assert "error" in err
+    # a parse error names the end of input as such
+    for text, msg in (("t+", "unexpected end of input (at position 2)"),
+                      ("(t", "expected ')', got end of input (at position 2)")):
+        code, out, err = run(capsys, "field", "eval", "-p", "2", "--vars", "t", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {msg}\n"
 
 
 def test_field_eval_deep_nesting_is_a_parse_error(capsys):
@@ -305,7 +309,7 @@ def test_u_mult_reports_a_malformed_coordinate_at_its_place_in_the_word(capsys):
     # position counted from the start of the word
     for argv, msg in (
         (["--kind", "c2", "-p", "2", "--vars", "t,u", "x1(t+)", "x4(u)"],
-         "unexpected token None at position 5"),
+         "unexpected end of input at position 5"),
         (["--kind", "g2", "-p", "3", "--vars", "s", "x1(s)*x6(1/0)", "x1(s)"],
          "division by zero at position 10"),
     ):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from imperfect import reconstruct
 from imperfect.field import Context, frobenius
 from imperfect.presets import Bundle
 from imperfect.reconstruct import (
@@ -210,6 +211,87 @@ def test_recovery_is_deterministic():
     r1 = verify_recovery(c2_recover(oracle), codec, n=10, seed=5)
     r2 = verify_recovery(c2_recover(oracle), codec, n=10, seed=5)
     assert r1.to_dict() == r2.to_dict()
+
+
+PRESET_DATA = ("g2", "indifferent-weak", "indifferent-proper")
+
+
+def preset_oracle(name, corruption=None):
+    """(oracle, codec, recovery function) for the preset's hexagon or quadrangle datum."""
+    bundle = Bundle.load(name)
+    if name == "g2":
+        return (*make_g2_oracle(bundle.g2(), corruption), g2_recover)
+    return (*make_c2_oracle(bundle.c2(), corruption), c2_recover)
+
+
+def recovery_outcomes(name):
+    """For the faithful, corrupted and opposite oracles of one preset datum: the
+    ReconstructError message of recovery, or the verify_recovery reports at two seeds."""
+    out = {}
+    for label in ("faithful", "wrong-param", "offset-mul", "opposite"):
+        corruption = label if label in ("wrong-param", "offset-mul") else None
+        oracle, codec, recover_ = preset_oracle(name, corruption)
+        if label == "opposite":
+            oracle = dataclasses.replace(oracle, mul=lambda x, y, mul=oracle.mul: mul(y, x))
+        try:
+            rec = recover_(oracle)
+        except ReconstructError as e:
+            out[label] = str(e)
+            continue
+        out[label] = [verify_recovery(rec, codec, n=5, seed=seed).to_dict() for seed in (1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("name", PRESET_DATA)
+def test_asking_each_question_once_changes_no_outcome(name, monkeypatch):
+    # the slow path, every question put to the oracle as often as it is asked,
+    # is the oracle of the memo
+    once = recovery_outcomes(name)
+    assert any(isinstance(v, str) for v in once.values())
+    assert not all(r["ok"] for v in once.values() if not isinstance(v, str) for r in v)
+    monkeypatch.setattr(reconstruct, "_asking", lambda o: o)
+    assert recovery_outcomes(name) == once
+
+
+def counted(o, log):
+    """o with each query logged as (kind, arguments); the log keeps the
+    arguments alive, so their ids name them for as long as it lives."""
+
+    def asked(kind, fn):
+        def query(*args):
+            log.append((kind, args))
+            return fn(*args)
+        return query
+
+    return dataclasses.replace(
+        o, eq=asked("eq", o.eq), mul=asked("mul", o.mul), inv=asked("inv", o.inv),
+        member={s: asked("member", f) for s, f in o.member.items()},
+        sample={s: asked("sample", f) for s, f in o.sample.items()})
+
+
+def repeated_questions(log):
+    seen, again = set(), []
+    for kind, args in log:
+        key = (kind, tuple(map(id, args)))
+        if kind in ("mul", "inv") and key in seen:
+            again.append(key)
+        seen.add(key)
+    return again
+
+
+@pytest.mark.parametrize("name,recovery,sample", [
+    ("g2", 222, 149), ("indifferent-weak", 85, 63), ("indifferent-proper", 85, 63)])
+def test_recovery_and_each_sample_ask_each_question_once(name, recovery, sample):
+    oracle, codec, recover_ = preset_oracle(name)
+    log = []
+    rec = recover_(counted(oracle, log))
+    assert not repeated_questions(log)
+    assert len(log) == recovery
+    for seed in (0, 1, 2):
+        log.clear()
+        assert verify_recovery(rec, codec, n=1, seed=seed).ok
+        assert not repeated_questions(log)
+        assert len(log) == sample
 
 
 def test_cc_experiment_both_long_roots():
