@@ -29,7 +29,7 @@ from .field import (
     render_element,
 )
 from .pbasis import is_p_independent, lambda_coords, reconstruct
-from .presets import Bundle, Config, preset, preset_names, write_preset
+from .presets import Bundle, Config, preset, preset_names
 from .rank1 import (
     Mat2,
     TimmesfeldData,
@@ -158,6 +158,5 @@ __all__ = [
     "validate_indifferent",
     "validate_tower",
     "verify_recovery",
-    "write_preset",
     "z2_member",
 ]

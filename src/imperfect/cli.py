@@ -267,9 +267,19 @@ def _report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", help="also write the JSON output to this file")
 
 
+def _at_least_one(text: str) -> int:
+    """A --samples value: with none, a sampled check would pass vacuously."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+
+
 def _sampling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=30)
+    p.add_argument("--samples", type=_at_least_one, default=30)
 
 
 def _bound(p: argparse.ArgumentParser) -> None:

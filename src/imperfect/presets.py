@@ -98,12 +98,6 @@ def preset(name: str) -> dict:
     return copy.deepcopy(PRESETS[name])
 
 
-def write_preset(name: str, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(preset(name), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 _TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
 _REQUIRED = object()
 

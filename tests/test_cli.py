@@ -5,11 +5,19 @@ import shlex
 import time
 from pathlib import Path
 
+import pytest
+
 from imperfect import cli, reconstruct, suite
 from imperfect.cli import main
 from imperfect.field import ParseError, parse_element
-from imperfect.presets import Bundle, write_preset
+from imperfect.presets import Bundle, preset
 from imperfect.reconstruct import ReconstructError
+
+
+def write_preset(name, path):
+    with open(path, "w") as fh:
+        json.dump(preset(name), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run(capsys, *argv):
@@ -484,6 +492,21 @@ def test_usage_errors_exit_two(capsys):
                  ["u", "comm", "--kind", "c2", "x1(t)", "x4(u)", "x1(t)"]):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("prog, argv", [
+    ("imperfect tower validate", ["tower", "validate", "tower-simple"]),
+    ("imperfect reconstruct", ["reconstruct", "g2", "--config", "g2"]),
+    ("imperfect suite run", ["suite", "run"]),
+], ids=["tower-validate", "reconstruct", "suite-run"])
+def test_samples_below_one_is_a_usage_error(prog, argv, capsys):
+    # with no samples a sampled check would pass vacuously
+    for value in ("0", "-1", "-3", "x"):
+        code, out, err = run(capsys, *argv, "--samples", value)
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"{prog}: error: argument --samples: expected an integer of at least 1, got '{value}'"]
 
 
 def test_help_exits_zero(capsys):

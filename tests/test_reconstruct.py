@@ -4,13 +4,12 @@ import random
 import pytest
 
 from imperfect import reconstruct
-from imperfect.field import Context, frobenius
+from imperfect.field import Context, frobenius, render_element
 from imperfect.presets import Bundle
 from imperfect.reconstruct import (
     CosetElem,
     OpaqueElem,
     ReconstructError,
-    cc_experiment,
     c2_recover,
     g2_recover,
     make_c2_oracle,
@@ -23,6 +22,8 @@ from imperfect.reconstruct import (
     _g2_kkrep,
     _g2_krep,
 )
+from imperfect.sp4 import (Sp4Root, SLOT_ROOT, chevalley_gen, identity4, slot_domain,
+                           sp4_bruhat, torus_matrix, weyl_rep)
 from imperfect.tower import SpecError
 
 
@@ -292,6 +293,94 @@ def test_recovery_and_each_sample_ask_each_question_once(name, recovery, sample)
         assert verify_recovery(rec, codec, n=1, seed=seed).ok
         assert not repeated_questions(log)
         assert len(log) == sample
+
+
+# ---------------------------------------------------------------------------
+# double centralizer experiment
+# ---------------------------------------------------------------------------
+
+
+def cc_experiment(root: int, group, samples: int = 24, seed: int = 0) -> dict:
+    """Sampling evidence that the long root subgroup equals its double
+    centralizer inside the symplectic context.
+
+    For the chosen long slot, elements of the centralizer of that root
+    group are sampled (the full unipotent group where it is central, the
+    opposite rank-1 pair of the orthogonal root, its torus and its Weyl
+    representative); candidates surviving commutation with every sample
+    are then checked to lie on the root line. The result is evidence, not
+    proof: a report of confirmations and exclusions.
+    """
+    if root not in (2, 4):
+        raise SpecError("the experiment is set up for the long slots 2 and 4")
+    spec = group.spec
+    ctx = spec.ctx
+    rng = random.Random(seed)
+    ortho = {2: "beta", 4: "2alpha+beta"}[root]
+
+    def rand_in(space, nonzero=False):
+        return space.rand_element(rng, nonzero=nonzero)
+
+    def rand_u_elem(slots, nonzero=False):
+        g = identity4(ctx)
+        for s in slots:
+            g = g * chevalley_gen(Sp4Root(SLOT_ROOT[s]), rand_in(slot_domain(spec, s), nonzero))
+        return g
+
+    centralizer_samples = []
+    u_slots = (1, 2, 3, 4) if root == 2 else (2, 3, 4)
+    for _ in range(samples):
+        centralizer_samples.append(rand_u_elem(u_slots))
+    for _ in range(max(4, samples // 4)):
+        r = rand_in(spec.L0, nonzero=True)
+        centralizer_samples.append(chevalley_gen(Sp4Root(ortho), r))
+        centralizer_samples.append(chevalley_gen(Sp4Root("-" + ortho), r))
+        if root == 2:
+            centralizer_samples.append(torus_matrix(ctx.one(), r))
+        else:
+            centralizer_samples.append(torus_matrix(r, r))
+    if root == 2:
+        centralizer_samples.append(weyl_rep("b", ctx))
+    else:
+        one = ctx.one()
+        n_long = (chevalley_gen(Sp4Root(ortho), one)
+                  * chevalley_gen(Sp4Root("-" + ortho), one)
+                  * chevalley_gen(Sp4Root(ortho), one))
+        centralizer_samples.append(n_long)
+
+    def commutes_with_all(g):
+        return all(g * s == s * g for s in centralizer_samples)
+
+    report = {"root": root, "orthogonal": ortho, "samples": len(centralizer_samples),
+              "confirmed": 0, "excluded": 0, "violations": []}
+
+    candidates = [("identity", identity4(ctx), True)]
+    for _ in range(6):
+        c = rand_in(spec.L0)
+        candidates.append((f"root line {render_element(c)}",
+                           chevalley_gen(Sp4Root(SLOT_ROOT[root]), c), True))
+    for v in ctx.gens():
+        candidates.append((f"torus h_alpha({render_element(v)})",
+                           torus_matrix(v, ctx.one()), False))
+    candidates.append(("off-line unipotent", rand_u_elem((1,), nonzero=True), False))
+
+    for label, g, on_line in candidates:
+        if commutes_with_all(g):
+            br = sp4_bruhat(g)
+            in_root = (br.word == "e" and br.s_alpha.is_one()
+                       and br.s_beta.is_one() and br.u2.is_identity()
+                       and all(c.is_zero() for i, c in enumerate(br.u1.coords)
+                               if i + 1 != root))
+            if in_root:
+                report["confirmed"] += 1
+            else:
+                report["violations"].append(label)
+        else:
+            if on_line:
+                report["violations"].append(label)
+            else:
+                report["excluded"] += 1
+    return report
 
 
 def test_cc_experiment_both_long_roots():

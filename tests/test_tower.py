@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -15,6 +16,7 @@ from imperfect.tower import (
     SpecError,
     SubfieldSpec,
     TowerSpec,
+    _sample_independent_subset,
     _stabilizer_vectors,
     stabilizer_field,
     validate_indifferent,
@@ -359,6 +361,68 @@ def test_validate_tower_broken_chain():
     report = validate_tower(spec, sample_count=8)
     failed = {c.name for c in report.failed()}
     assert "level1.chain" in failed
+
+
+def sampled_condition_two(R, rng, sample_count):
+    """(status, detail) of `independent-samples` as validate_tower drew it on
+    every level before the basis check decided condition (2): up to
+    sample_count subsets of R independent over its scalar field, each tested
+    for p-independence over it."""
+    F = R.over
+    bad_subset = None
+    tried = 0
+    draws = 0
+    max_size = min(3, len(R.basis) - 1)
+    while max_size > 0 and tried < sample_count and draws < 40 * sample_count:
+        draws += 1
+        k = rng.randint(1, max_size)
+        subset = _sample_independent_subset(R, rng, k)
+        if subset is None:
+            continue
+        tried += 1
+        if not is_p_independent(subset, over_gens=F.gens, ctx=R.ctx):
+            bad_subset = subset
+            break
+    if bad_subset is None:
+        return "pass", f"{tried} independent subsets checked"
+    return "fail", "dependent sample: {" + ", ".join(render_element(x) for x in bad_subset) + "}"
+
+
+ORACLE_CONTEXTS = [Context(2, ("t", "u")), Context(2, ("t", "u", "v")),
+                   Context(3, ("s", "v")), Context(3, ("s", "u", "v"))]
+
+
+TOWER_DRAWS = 200
+
+
+def test_the_basis_check_decides_condition_two():
+    """On random one-level towers every sampled subset is p-independent when
+    the basis check passes, and validate_tower's verdicts equal those of the
+    sampled check; where the basis check fails, the witness search is the
+    sampled check itself, detail for detail."""
+    rng = random.Random(7)
+    seen = Counter()
+    for n in range(TOWER_DRAWS):
+        ctx = ORACLE_CONTEXTS[n % len(ORACLE_CONTEXTS)]
+        R = rand_rspace(rng, ctx)
+        seed = rng.randrange(2 ** 32)
+        report = validate_tower(TowerSpec(ctx, [R.over], [R]), sample_count=16, seed=seed)
+        checks = {c.name: c for c in report.checks}
+        basis_ok = checks["level1.independent-basis"].status == "pass"
+        status, detail = sampled_condition_two(R, random.Random(seed), 16)
+        if basis_ok:
+            assert status == "pass", (R, detail)
+        else:
+            assert checks["level1.independent-samples"].detail == detail, R
+        assert checks["level1.independent-samples"].status == status, R
+        sampled_ok = all(c.status == "pass" for name, c in checks.items()
+                         if name != "level1.independent-samples") and status == "pass"
+        assert report.ok == sampled_ok, R
+        seen[basis_ok, status] += 1
+    # both halves of the lemma's use are exercised, and the samples find
+    # most dependences the basis check finds
+    assert seen[True, "pass"] >= TOWER_DRAWS // 3, seen
+    assert seen[False, "fail"] >= 10, seen
 
 
 @dataclass
