@@ -60,7 +60,6 @@ from .sp4 import (
     perfectness_witness_sp4,
     sp4_bruhat,
     torus_matrix,
-    torus_normalizer_check,
 )
 from .suite import SuiteConfig, run_suite
 from .tower import (
@@ -151,7 +150,6 @@ __all__ = [
     "torus_act",
     "torus_matrix",
     "torus_membership",
-    "torus_normalizer_check",
     "torus_normalizes",
     "u_inverse",
     "u_mult",

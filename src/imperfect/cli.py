@@ -20,7 +20,7 @@ from .presets import Bundle, preset_names
 from .rank1 import (Mat2, bruhat2, Cell, factor_codim1, membership_sl2L,
                     perfectness_witness)
 from .reconstruct import negative_control, recover, verify_recovery
-from .sp4 import Mat4, sp4_bruhat, torus_normalizer_check
+from .sp4 import Mat4, sp4_bruhat
 from .tower import SubfieldSpec, validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, c2_datum, center_member, commutator,
                         g2_datum, parse_uword, torus_act, torus_normalizes,
@@ -113,7 +113,7 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_tower_validate(args) -> int:
     tower = Bundle.load(args.config).need("tower")
-    rep = validate_tower(tower, sample_count=args.samples, seed=args.seed)
+    rep = validate_tower(tower)
     _emit(rep.to_dict(), args)
     return 0 if rep.ok else 1
 
@@ -215,11 +215,11 @@ def _cmd_sp4_member(args) -> int:
 
 
 def _cmd_sp4_torus_check(args) -> int:
-    spec = Bundle.load(args.config).need("indifferent")
-    ctx = spec.ctx
-    ok = torus_normalizer_check(parse_element(args.alpha, ctx),
-                                parse_element(args.beta, ctx), spec)
-    _emit({"normalizes": ok}, args)
+    bundle = Bundle.load(args.config)
+    datum = bundle.c2()
+    ctx = bundle.ctx
+    h = TorusElement2(parse_element(args.alpha, ctx), parse_element(args.beta, ctx))
+    _emit({"normalizes": torus_normalizes(h, datum)}, args)
     return 0
 
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", help="comma-separated tuple elements (default: the variables)")
 
     ts = _branch(sub, "tower", "validate subfield tower configurations")
-    p = _leaf(ts, "validate", _cmd_tower_validate, _sampling, _report)
+    p = _leaf(ts, "validate", _cmd_tower_validate, _report)
     p.add_argument("config", help=_CONFIG_HELP)
 
     is_ = _branch(sub, "indifferent", "validate indifferent-set configurations")

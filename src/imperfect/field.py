@@ -213,18 +213,10 @@ class SparsePoly:
     def total_degree(self) -> int:
         return max(self.terms, default=0) >> _DEG_SHIFT
 
-    def degree_in(self, k: int) -> int:
-        s = _SHIFTS[k]
-        return max(((e >> s) & _FIELD for e in self.terms), default=0)
-
     def leading(self) -> tuple:
         """(key, coefficient) of the graded-lex leading term."""
         key = max(self.terms)
         return key, self.terms[key]
-
-    def by_exponents(self) -> dict:
-        """The terms keyed by exponent tuples, as Context.poly takes them."""
-        return {self.ctx.unpack(e): c for e, c in self.terms.items()}
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         p = self.ctx.p
@@ -701,9 +693,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return bool(self.num.terms)
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     # -- arithmetic --------------------------------------------------------
 

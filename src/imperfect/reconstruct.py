@@ -187,43 +187,6 @@ def make_c2_oracle(datum: RootDatum2,
 
 
 # ---------------------------------------------------------------------------
-# cosets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CosetElem:
-    """rep modulo the center or second center, compared through commutators
-    with the designated extreme generators."""
-
-    oracle: GroupOracle
-    rep: OpaqueElem
-    modulus: str  # "Z" | "Z2"
-
-    def _probes(self) -> Tuple[OpaqueElem, OpaqueElem]:
-        p = self.oracle.params
-        if self.oracle.kind == "G2":
-            return p["u1"], p["u6"]
-        return p["u1"], p["u4"]
-
-    def _in_center(self, d: OpaqueElem) -> bool:
-        lo, hi = self._probes()
-        o = self.oracle
-        return (o.eq(o.comm(d, lo), o.identity)
-                and o.eq(o.comm(d, hi), o.identity))
-
-    def same(self, other: "CosetElem") -> bool:
-        if self.modulus != other.modulus:
-            raise SpecError("cosets live modulo different subgroups")
-        o = self.oracle
-        d = o.mul(self.rep, o.inv(other.rep))
-        if self.modulus == "Z":
-            return self._in_center(d)
-        lo, hi = self._probes()
-        return self._in_center(o.comm(d, lo)) and self._in_center(o.comm(d, hi))
-
-
-# ---------------------------------------------------------------------------
 # hexagon recovery
 # ---------------------------------------------------------------------------
 
@@ -287,10 +250,6 @@ class G2Recovered:
     def add(self, r1: PairRep, r2: PairRep) -> PairRep:
         o = self.oracle
         return PairRep(o.mul(r1.e, r2.e), o.mul(r1.f, r2.f))
-
-    def neg(self, r: PairRep) -> PairRep:
-        o = self.oracle
-        return PairRep(o.inv(r.e), o.inv(r.f))
 
     def product_line(self, r1: PairRep, r2: PairRep) -> OpaqueElem:
         """The center-line image of the product coordinate."""

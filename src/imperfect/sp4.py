@@ -82,11 +82,6 @@ def identity4(ctx: Context) -> Mat4:
     return Mat4(ctx, [[o if i == j else z for j in range(4)] for i in range(4)])
 
 
-def form_matrix(ctx: Context) -> Mat4:
-    z, o = ctx.zero(), ctx.one()
-    return Mat4(ctx, [[o if i + j == 3 else z for j in range(4)] for i in range(4)])
-
-
 def is_symplectic(g: Mat4) -> bool:
     """Whether g^T J g == J.
 
@@ -149,10 +144,6 @@ class Sp4Root:
     @property
     def slot(self) -> Optional[int]:
         return _ROOT_TABLE[self.name][1]
-
-    @property
-    def positive(self) -> bool:
-        return not self.name.startswith("-")
 
 
 def chevalley_gen(r: Sp4Root, t: RatFunc) -> Mat4:
@@ -450,16 +441,6 @@ def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4,
     return Membership("unknown", reason=f"torus coordinates undecided (alpha: {va}, beta: {vb})")
 
 
-def torus_normalizer_check(s_alpha: RatFunc, s_beta: RatFunc,
-                           spec: IndifferentSpec) -> bool:
-    """Whether diag coordinates (s_alpha, s_beta) normalize the subgroup:
-    the short-root coordinate is unconstrained, the long one must multiply
-    K0 onto itself."""
-    if s_alpha.is_zero() or s_beta.is_zero():
-        raise FieldError("torus coordinates must be nonzero")
-    return spec.K0.stable_under(s_beta)
-
-
 # ---------------------------------------------------------------------------
 # the group-from-structure direction
 # ---------------------------------------------------------------------------
@@ -485,9 +466,6 @@ class Sp4Context:
     @property
     def ctx(self) -> Context:
         return self.spec.ctx
-
-    def torus_matrices(self) -> List[Mat4]:
-        return [torus_matrix(h.s_alpha, h.s_beta) for h in self.torus]
 
     def membership(self, g: Mat4, bound: int = 4) -> Membership:
         return membership_psp4(g, self.spec, bound, self.torus)

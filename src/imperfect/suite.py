@@ -25,8 +25,8 @@ from .reconstruct import negative_control, recover, verify_recovery
 from .sp4 import (SLOT_ROOT, Sp4Root, chevalley_gen, identity4, perfectness_witness_sp4,
                   slot_domain, sp4_bruhat, torus_matrix, weyl_rep)
 from .tower import validate_indifferent, validate_tower
-from .unipotent import (TorusElement2, torus_act, u_inverse, u_mult, u_mult_alt,
-                        z2_member, center_member)
+from .unipotent import (TorusElement2, center_member, commutator, torus_act, u_inverse,
+                        u_mult, u_mult_alt, z2_member)
 
 
 @dataclass
@@ -163,7 +163,7 @@ def _chk_pbasis_independence(cfg, rng, inst):
 
 def _chk_tower_validate(cfg, rng, inst):
     for name, bundle in inst["towers"]:
-        rep = validate_tower(bundle.cfg.tower, sample_count=cfg.samples, seed=rng.randrange(2 ** 32))
+        rep = validate_tower(bundle.cfg.tower)
         bad = rep.failed()
         if bad:
             raise _Fail(f"{name}: {bad[0].name}: {bad[0].detail}",
@@ -172,7 +172,7 @@ def _chk_tower_validate(cfg, rng, inst):
 
 def _chk_tower_negative(cfg, rng, inst):
     bundle = Bundle.load("tower-bad")
-    rep = validate_tower(bundle.cfg.tower, sample_count=10, seed=1)
+    rep = validate_tower(bundle.cfg.tower)
     if rep.ok:
         raise _Fail("the stabilizer-too-big example validated")
 
@@ -257,11 +257,16 @@ def _chk_rank1_witness(cfg, rng, inst):
 
 
 def _rand_uword(datum, rng, max_terms):
-    """A random normal form: each slot gets a coordinate from its domain with chance 1/2."""
+    """A random normal form: each slot gets a nonzero coordinate from its domain
+    with chance 1/2. A zero draw is drawn again, so that every slot chosen is
+    present and every relation between two chosen slots fires in collection."""
     x = datum.identity()
     for slot in range(1, datum.nslots + 1):
         if rng.random() >= 0.5:
-            x = u_mult(x, datum.generator(slot, datum.rand_coord(slot, rng, max_terms)))
+            c = datum.rand_coord(slot, rng, max_terms)
+            while c.is_zero():
+                c = datum.rand_coord(slot, rng, max_terms)
+            x = u_mult(x, datum.generator(slot, c))
     return x
 
 
@@ -284,14 +289,29 @@ def _chk_unipotent_assoc(cfg, rng, inst):
                 raise _Fail(f"{key}: inverse failed", {"x": repr(x)})
 
 
+def _probe_generators(datum):
+    """The extreme root generators x_1(1) and x_n(1): x lies in Z(U) exactly
+    when it commutes with both, and in Z2(U) exactly when both commutators
+    lie in Z(U)."""
+    one = datum.ctx.one()
+    return datum.generator(1, one), datum.generator(datum.nslots, one)
+
+
 def _chk_unipotent_center(cfg, rng, inst):
+    # the coordinate tests against the commutator characterizations
     for key in ("g2", "c2"):
         datum = inst[key]
+        probes = _probe_generators(datum)
         for _ in range(max(10, cfg.samples // 2)):
             x = _rand_uword(datum, rng, 1)
-            # these raise if the coordinate and commutator views disagree
-            center_member(x)
-            z2_member(x)
+            comms = [commutator(x, u) for u in probes]
+            for name, by_coords, by_comm in (
+                    ("center", center_member(x), all(c.is_identity() for c in comms)),
+                    ("second center", z2_member(x), all(center_member(c) for c in comms))):
+                if by_coords != by_comm:
+                    raise _Fail(f"{key}: {name} characterizations disagree: "
+                                f"coordinates {by_coords}, commutators {by_comm}",
+                                {"x": repr(x)})
 
 
 def _chk_unipotent_torus(cfg, rng, inst):

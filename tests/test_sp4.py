@@ -24,7 +24,6 @@ from imperfect.sp4 import (
     build_group_from_M,
     chevalley_gen,
     descent_slots,
-    form_matrix,
     full_datum,
     identity4,
     is_symplectic,
@@ -33,7 +32,6 @@ from imperfect.sp4 import (
     slot_domain,
     sp4_bruhat,
     torus_matrix,
-    torus_normalizer_check,
     u_to_mat,
     weyl_rep,
 )
@@ -74,10 +72,15 @@ def rand_word_matrix(spec, rng, length=6, torus=False):
     return g
 
 
+def torus_matrices(group):
+    """The matrices of a group's torus generators."""
+    return [torus_matrix(h.s_alpha, h.s_beta) for h in group.torus]
+
+
 def proper_tail_words():
     """The 30 seeded indifferent-proper words on which sp4_bruhat has a slow tail."""
     spec = proper_spec()
-    h = Bundle.load("indifferent-proper").sp4().torus_matrices()[0]
+    h = torus_matrices(Bundle.load("indifferent-proper").sp4())[0]
     rng = random.Random(5)
     return [rand_word_matrix(spec, rng, length=6, torus=True) * h for _ in range(30)]
 
@@ -208,6 +211,12 @@ def transpose(g):
     return Mat4(g.ctx, [[g.rows[j][i] for j in range(4)] for i in range(4)])
 
 
+def form_matrix(ctx):
+    """The antidiagonal form J of the realization."""
+    z, o = ctx.zero(), ctx.one()
+    return Mat4(ctx, [[o if i + j == 3 else z for j in range(4)] for i in range(4)])
+
+
 def product_is_symplectic(g):
     """The full product form of the check, the oracle for is_symplectic."""
     j = form_matrix(g.ctx)
@@ -227,7 +236,7 @@ def test_u_to_mat_matches_generator_product():
                 num = ctx.rand_ratfunc(rng, max_deg=1, nonzero=True, denominators=False)
                 den = ctx.var(rng.choice("tu")) + ctx.scalar(rng.randint(0, 1))
                 coords.append(num / den)
-                fractions += not coords[-1].is_poly()
+                fractions += not coords[-1].den.is_one()
             else:
                 coords.append(ctx.zero())
         u = UElement(datum, tuple(coords))
@@ -592,7 +601,7 @@ def test_sp4_bruhat_matches_oracle_on_proper_words():
     # word 12 of these draws takes seconds on both procedures (17 s together);
     # word 23 has fractional entries
     words = proper_tail_words()
-    assert any(not e.is_poly() for row in words[23].rows for e in row)
+    assert any(not e.den.is_one() for row in words[23].rows for e in row)
     assert_matches_oracle([g for k, g in enumerate(words) if k != 12])
 
 
@@ -634,7 +643,7 @@ def test_sp4_bruhat_matches_oracle_with_denominators():
         mats.append(g)
     mats += [torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)) * weyl_rep(w, ctx)
              for w in WEYL_WORDS for _ in range(2)]
-    assert sum(any(not e.is_poly() for row in g.rows for e in row) for g in mats) >= 50
+    assert sum(any(not e.den.is_one() for row in g.rows for e in row) for g in mats) >= 50
     assert assert_matches_oracle(mats) == set(WEYL_WORDS)
 
 
@@ -677,7 +686,7 @@ def test_the_gcd_free_reassembly_agrees_with_to_matrix(monkeypatch):
         mats.append(g * torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)))
     mats += [torus_matrix(rand_fraction(ctx, rng), rand_fraction(ctx, rng)) * weyl_rep(w, ctx)
              for w in WEYL_WORDS]
-    assert sum(any(not e.is_poly() for row in g.rows for e in row) for g in mats) >= 20
+    assert sum(any(not e.den.is_one() for row in g.rows for e in row) for g in mats) >= 20
     words, verdicts = set(), []
     for g in mats:
         br = sp4_bruhat(g)
@@ -730,20 +739,23 @@ def test_membership_witness_multiplies_out():
 
 
 def test_torus_normalizer_check():
-    spec = proper_spec()
-    ctx = spec.ctx
+    # `sp4 torus-check` decides normalization by torus_normalizes on the quadrangle datum
+    bundle = Bundle.load("indifferent-proper")
+    datum = bundle.c2()
+    ctx = bundle.ctx
     t, u, v = ctx.gens()
     one = ctx.one()
-    assert torus_normalizer_check(t * t, t * t, spec)
-    assert torus_normalizer_check(v, t, spec)  # short side unconstrained
-    assert not torus_normalizer_check(one, v, spec)
-    with pytest.raises(FieldError):
-        torus_normalizer_check(ctx.zero(), one, spec)
+    assert torus_normalizes(TorusElement2(t * t, t * t), datum)
+    assert torus_normalizes(TorusElement2(v, t), datum)  # short side unconstrained
+    assert not torus_normalizes(TorusElement2(one, v), datum)
+    with pytest.raises(FieldError, match="torus coordinates must be nonzero"):
+        TorusElement2(ctx.zero(), one)
 
 
 @pytest.mark.parametrize("name", ["indifferent-weak", "indifferent-proper"])
 def test_the_torus_normalizer_check_agrees_with_the_quadrangle_datum(name):
-    # two functions answer whether diag(s_alpha, s_beta) normalizes PSp4(L0, K0)
+    # diag(s_alpha, s_beta) normalizes PSp4(L0, K0) exactly when s_beta
+    # multiplies K0 onto itself: the short-root coordinate is unconstrained
     bundle = Bundle.load(name)
     spec, datum = bundle.cfg.indifferent, bundle.c2()
     ctx = spec.ctx
@@ -755,7 +767,7 @@ def test_the_torus_normalizer_check_agrees_with_the_quadrangle_datum(name):
     answers = []
     for sa, sb in list(itertools.product(built[:8], built)) + list(zip(randoms, randoms[::-1])):
         answers.append(torus_normalizes(TorusElement2(sa, sb), datum))
-        assert torus_normalizer_check(sa, sb, spec) == answers[-1], (sa, sb)
+        assert spec.K0.stable_under(sb) == answers[-1], (sa, sb)
     assert set(answers) == ({True} if name == "indifferent-weak" else {True, False})
 
 
@@ -773,7 +785,7 @@ def test_build_group_from_M():
     group = b.sp4()
     ctx = group.ctx
     t = ctx.var("t")
-    mats = group.torus_matrices()
+    mats = torus_matrices(group)
     assert len(mats) == 1
     assert is_symplectic(mats[0])
     # the declared action scales the extreme slots by t^2 each
@@ -796,7 +808,7 @@ def test_group_membership_with_torus_part():
     group = Bundle.load("indifferent-weak").sp4()
     spec = group.spec
     rng = random.Random(9)
-    h = group.torus_matrices()[0]
+    h = torus_matrices(group)[0]
     for _ in range(6):
         g = rand_word_matrix(spec, rng, length=4) * h
         r = group.membership(g)
@@ -871,7 +883,7 @@ def test_membership_matches_the_two_old_procedures():
     cases = []
     for name in ("indifferent-weak", "indifferent-proper"):
         group = Bundle.load(name).sp4()
-        h = group.torus_matrices()[0]
+        h = torus_matrices(group)[0]
         outside = group.ctx.gens()[-1]  # outside L0, and outside K0 when K0 is proper
         for k in range(6):
             g = rand_word_matrix(group.spec, rng, length=4)
@@ -916,7 +928,7 @@ def test_torus_data_is_built_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(sp4, "_torus_data", counting)
     group = Bundle.load("indifferent-proper").sp4()
-    h = group.torus_matrices()[0]
+    h = torus_matrices(group)[0]
     rng = random.Random(3)
     for _ in range(3):
         assert group.membership(rand_word_matrix(group.spec, rng, length=3) * h).verdict == "yes"

@@ -7,7 +7,7 @@ from typing import List, Sequence
 import pytest
 
 from imperfect import _linalg
-from imperfect.field import Context, frobenius, parse_element, render_element
+from imperfect.field import Context, frobenius, over_one_den, parse_element, render_element
 from imperfect.pbasis import PBasis, is_p_independent, p_monomial
 from imperfect.presets import Bundle, Config, preset, preset_names
 from imperfect.tower import (
@@ -16,7 +16,6 @@ from imperfect.tower import (
     SpecError,
     SubfieldSpec,
     TowerSpec,
-    _sample_independent_subset,
     _stabilizer_vectors,
     stabilizer_field,
     validate_indifferent,
@@ -317,13 +316,13 @@ def test_scalar_field_lies_in_the_stabilizer():
 def test_validate_tower_positive_presets():
     for name in ("tower-simple", "tower-over-k1"):
         cfg = Config.load(preset(name))
-        report = validate_tower(cfg.tower, sample_count=24, seed=0)
+        report = validate_tower(cfg.tower)
         assert report.ok, [c.name for c in report.failed()]
 
 
 def test_validate_tower_dimensions_reported():
     cfg = Config.load(preset("tower-simple"))
-    report = validate_tower(cfg.tower, sample_count=8)
+    report = validate_tower(cfg.tower)
     # three variables at p = 2
     assert report.dims["level1.[K:K1]"] == 8
     assert report.dims["level1.dim_R_over_K1"] == 3
@@ -331,7 +330,7 @@ def test_validate_tower_dimensions_reported():
 
 def test_validate_tower_negative_preset():
     cfg = Config.load(preset("tower-bad"))
-    report = validate_tower(cfg.tower, sample_count=8)
+    report = validate_tower(cfg.tower)
     assert not report.ok
     failed = {c.name for c in report.failed()}
     assert "level1.independent-basis" in failed
@@ -346,7 +345,7 @@ def test_validate_tower_two_levels():
     R1 = RSpaceSpec("R1", Kp, [CTX.one(), t, u])
     R2 = RSpaceSpec("R2", K1, [CTX.one()])
     spec = TowerSpec(CTX, [Kp, K1], [R1, R2])
-    report = validate_tower(spec, sample_count=16)
+    report = validate_tower(spec)
     assert report.ok, [c.to_dict() for c in report.failed()]
     assert report.dims["level2.[K:K2]"] == 2
 
@@ -358,34 +357,42 @@ def test_validate_tower_broken_chain():
     R1 = RSpaceSpec("R1", Kp, [CTX.one(), u])  # u never lands in K1
     R2 = RSpaceSpec("R2", K1, [CTX.one(), u])
     spec = TowerSpec(CTX, [Kp, K1], [R1, R2])
-    report = validate_tower(spec, sample_count=8)
+    report = validate_tower(spec)
     failed = {c.name for c in report.failed()}
     assert "level1.chain" in failed
 
 
-def sampled_condition_two(R, rng, sample_count):
-    """(status, detail) of `independent-samples` as validate_tower drew it on
-    every level before the basis check decided condition (2): up to
+def sample_independent_subset(R, rng, k):
+    """k random elements of R with {1} together with them independent over the
+    scalar field, or None when the draw came out dependent. Drawn in
+    coordinates, so that independence is a rank test on the coordinate
+    vectors and no membership solve is needed."""
+    ctx = R.ctx
+    one_row = [ctx.one() if b.is_one() else ctx.zero() for b in R.basis]
+    coordvecs = [R.rand_coords(rng) for _ in range(k)]
+    rows = [over_one_den([(x.num, x.den) for x in row])[0] for row in [one_row] + coordvecs]
+    if len(_linalg.pivots(rows)) != k + 1:
+        return None
+    return [R.evaluate(cv) for cv in coordvecs]
+
+
+def sampled_dependent_subset(R, rng, sample_count):
+    """Condition (2) by sampling, as validate_tower once decided it: up to
     sample_count subsets of R independent over its scalar field, each tested
-    for p-independence over it."""
-    F = R.over
-    bad_subset = None
+    for p-independence over it. The first p-dependent one, or None."""
     tried = 0
     draws = 0
     max_size = min(3, len(R.basis) - 1)
     while max_size > 0 and tried < sample_count and draws < 40 * sample_count:
         draws += 1
         k = rng.randint(1, max_size)
-        subset = _sample_independent_subset(R, rng, k)
+        subset = sample_independent_subset(R, rng, k)
         if subset is None:
             continue
         tried += 1
-        if not is_p_independent(subset, over_gens=F.gens, ctx=R.ctx):
-            bad_subset = subset
-            break
-    if bad_subset is None:
-        return "pass", f"{tried} independent subsets checked"
-    return "fail", "dependent sample: {" + ", ".join(render_element(x) for x in bad_subset) + "}"
+        if not is_p_independent(subset, over_gens=R.over.gens, ctx=R.ctx):
+            return subset
+    return None
 
 
 ORACLE_CONTEXTS = [Context(2, ("t", "u")), Context(2, ("t", "u", "v")),
@@ -396,33 +403,43 @@ TOWER_DRAWS = 200
 
 
 def test_the_basis_check_decides_condition_two():
-    """On random one-level towers every sampled subset is p-independent when
-    the basis check passes, and validate_tower's verdicts equal those of the
-    sampled check; where the basis check fails, the witness search is the
-    sampled check itself, detail for detail."""
+    """On random one-level towers `independent-samples` has the verdict of
+    `independent-basis`. A failing tower names a witness W, basis elements
+    other than 1 that are p-dependent over the scalar field while every
+    shorter prefix of W is not. The sampled oracle finds no dependent subset
+    where the basis check passes, and no report depends on `seed` or
+    `sample_count`, which validate_tower ignores."""
     rng = random.Random(7)
     seen = Counter()
     for n in range(TOWER_DRAWS):
         ctx = ORACLE_CONTEXTS[n % len(ORACLE_CONTEXTS)]
         R = rand_rspace(rng, ctx)
         seed = rng.randrange(2 ** 32)
-        report = validate_tower(TowerSpec(ctx, [R.over], [R]), sample_count=16, seed=seed)
+        spec = TowerSpec(ctx, [R.over], [R])
+        report = validate_tower(spec)
         checks = {c.name: c for c in report.checks}
-        basis_ok = checks["level1.independent-basis"].status == "pass"
-        status, detail = sampled_condition_two(R, random.Random(seed), 16)
-        if basis_ok:
-            assert status == "pass", (R, detail)
+        basis = checks["level1.independent-basis"]
+        samples = checks["level1.independent-samples"]
+        assert samples.status == basis.status, R
+        sampled = sampled_dependent_subset(R, random.Random(seed), 16)
+        if basis.status == "pass":
+            assert sampled is None, R
         else:
-            assert checks["level1.independent-samples"].detail == detail, R
-        assert checks["level1.independent-samples"].status == status, R
-        sampled_ok = all(c.status == "pass" for name, c in checks.items()
-                         if name != "level1.independent-samples") and status == "pass"
-        assert report.ok == sampled_ok, R
-        seen[basis_ok, status] += 1
-    # both halves of the lemma's use are exercised, and the samples find
-    # most dependences the basis check finds
-    assert seen[True, "pass"] >= TOWER_DRAWS // 3, seen
-    assert seen[False, "fail"] >= 10, seen
+            rest = {render_element(b): b for b in R.basis if not b.is_one()}
+            assert samples.detail.startswith("dependent subset: {"), samples.detail
+            names = samples.detail[len("dependent subset: {"):-1].split(", ")
+            assert set(names) <= set(rest), (R, samples.detail)
+            W = [rest[name] for name in names]
+            assert not is_p_independent(W, over_gens=R.over.gens, ctx=ctx), (R, samples.detail)
+            assert all(is_p_independent(W[:k], over_gens=R.over.gens, ctx=ctx)
+                       for k in range(len(W))), (R, samples.detail)
+        want = report.to_dict()
+        for kw in [{"seed": s} for s in range(10)] + [{"sample_count": k} for k in (1, 64)]:
+            assert validate_tower(spec, **kw).to_dict() == want, (R, kw)
+        seen[basis.status] += 1
+    # both verdicts occur often (182 passes and 18 failures)
+    assert seen["pass"] >= TOWER_DRAWS // 3, seen
+    assert seen["fail"] >= 10, seen
 
 
 @dataclass

@@ -1,16 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from imperfect import suite, unipotent
 from imperfect.field import Context, FieldError
 from imperfect.presets import Bundle
-from imperfect.tower import InvariantViolation, SpecError, SubfieldSpec
+from imperfect.tower import SpecError, SubfieldSpec
 from imperfect.unipotent import (
     TorusElement2,
     c2_datum,
     center_member,
-    centralizes,
     commutator,
     g2_datum,
     parse_uword,
@@ -33,6 +33,10 @@ def hex_datum():
 
 def quad_datum():
     return Bundle.load("indifferent-weak").c2()
+
+
+def centralizes(x, y):
+    return commutator(x, y).is_identity()
 
 
 def rand_elem(datum, rng, spread=2):
@@ -276,12 +280,24 @@ def test_center_membership_quadrangle():
 
 
 def test_center_views_agree_on_random_elements():
+    # the coordinate tests against the commutator characterizations: x is
+    # central iff it commutes with both extreme root generators x_1(1) and
+    # x_n(1), and lies in Z2 iff both commutators are central
+    seen = Counter()
     for datum, seed in ((hex_datum(), 9), (quad_datum(), 10)):
+        one = datum.ctx.one()
+        probes = (datum.generator(1, one), datum.generator(datum.nslots, one))
         rng = random.Random(seed)
         for _ in range(60):
             x = rand_elem(datum, rng, spread=1)
-            center_member(x)  # raises InvariantViolation on any disagreement
-            z2_member(x)
+            comms = [commutator(x, u) for u in probes]
+            assert center_member(x) == all(c.is_identity() for c in comms), x
+            assert z2_member(x) == all(center_member(c) for c in comms), x
+            seen[datum.kind, center_member(x), z2_member(x)] += 1
+    # both verdicts of each test occur (the quadrangle group has class 2)
+    assert set(seen) >= {
+        ("G2", True, True), ("G2", False, True), ("G2", False, False),
+        ("C2", True, True), ("C2", False, True)}, seen
 
 
 def rand_normalizing_torus(datum, rng):
@@ -395,3 +411,25 @@ def test_the_suite_collects_through_every_relation(monkeypatch):
     assert suite.run_suite(cfg).ok
     inst = suite._instances(cfg)
     assert fired == {(d.kind, i, j) for d in (inst["g2"], inst["c2"]) for i, j in d.relations}
+
+
+def test_every_relation_fires_at_every_suite_seed(monkeypatch):
+    # _rand_uword draws a zero coordinate again, so a slot it picks is
+    # present and each relation between two picked slots fires in collection
+    counts = Counter()
+    real = unipotent._comm_negated
+
+    def counting(datum, i, j, a, b):
+        if (i, j) in datum.relations:
+            counts[seed, datum.kind, i, j] += 1
+        return real(datum, i, j, a, b)
+
+    monkeypatch.setattr(unipotent, "_comm_negated", counting)
+    cfg = suite.SuiteConfig()
+    inst = suite._instances(cfg)
+    relations = [(d.kind, i, j) for d in (inst["g2"], inst["c2"]) for i, j in d.relations]
+    for seed in range(12):
+        rng = random.Random(suite._check_seed(seed, "unipotent.associativity"))
+        suite._chk_unipotent_assoc(cfg, rng, inst)
+    missing = [(seed, *r) for seed in range(12) for r in relations if not counts[(seed, *r)]]
+    assert not missing, missing
