@@ -153,10 +153,7 @@ class Context:
     def __hash__(self):
         return hash((self.p, self.names))
 
-    # -- parsing and sampling ---------------------------------------------
-
-    def parse(self, s: str) -> "RatFunc":
-        return parse_element(s, self)
+    # -- sampling ---------------------------------------------------------
 
     def rand_poly(self, rng: random.Random, max_deg: int = 2, max_terms: int = 3) -> "SparsePoly":
         terms = {}

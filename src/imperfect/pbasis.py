@@ -172,6 +172,10 @@ class PBasis:
         """Whether x lies in K^p[a]: dx lies in the span of the da_i."""
         return self._span.contains(differential(x))
 
+    def stable_under(self, f: RatFunc) -> bool:
+        """Whether f * K^p[a] = K^p[a]: a field is, exactly when f != 0 lies in it."""
+        return not f.is_zero() and self.contains(f)
+
     def coords(self, x: RatFunc) -> LambdaCoords:
         """The unique coordinates of x over K^p relative to the tuple, when they exist."""
         # the Jacobian criterion decides definedness before the p^m system is built

@@ -39,17 +39,9 @@ class Mat2:
         for x in (a, b, c, d):
             one._check(x)
         # a*d - b*c = 1 by cross-multiplication, without a gcd: with
-        # n1/d1 = a*d and n2/d2 = b*c left unreduced, n1*d2 - n2*d1 = d1*d2.
-        # A zero entry leaves one product; most matrices have one (torus,
-        # root and Weyl elements), and these branches halve the check's time.
-        if b.is_zero() or c.is_zero():
-            det_one = a.num * d.num == a.den * d.den
-        elif a.is_zero() or d.is_zero():
-            det_one = -(b.num * c.num) == b.den * c.den
-        else:
-            d1, d2 = a.den * d.den, b.den * c.den
-            det_one = a.num * d.num * d2 - b.num * c.num * d1 == d1 * d2
-        if not det_one:
+        # n1/d1 = a*d and n2/d2 = b*c left unreduced, n1*d2 - n2*d1 = d1*d2
+        d1, d2 = a.den * d.den, b.den * c.den
+        if a.num * d.num * d2 - b.num * c.num * d1 != d1 * d2:
             raise FieldError("matrix is not in SL2: determinant != 1")
 
     @classmethod

@@ -336,9 +336,7 @@ class C2Recovered:
     """
 
     oracle: GroupOracle
-    zero_K0: K0Rep
     one_K0: K0Rep
-    zero_L0: L0Rep
     one_L0: L0Rep
 
     def F(self, e: OpaqueElem) -> OpaqueElem:
@@ -407,9 +405,7 @@ def c2_recover(o: GroupOracle) -> C2Recovered:
     caller, o = o, _asking(o)  # the diagnostics ask each question once
     rec = C2Recovered(
         oracle=o,
-        zero_K0=K0Rep(o.identity, o.identity, o.identity, o.identity),
         one_K0=K0Rep(o.params["u1"], o.params["u3"], o.params["u4"], o.params["u2"]),
-        zero_L0=L0Rep(o.identity, o.identity),
         one_L0=L0Rep(o.params["u4"], o.params["u2"]),
     )
     rng = random.Random(0)
@@ -458,11 +454,11 @@ class VerifyReport:
         }
 
 
-def _g2_krep(rec: G2Recovered, truth: Codec, a: RatFunc) -> PairRep:
+def _g2_krep(truth: Codec, a: RatFunc) -> PairRep:
     return PairRep(truth.from_coord(1, a), truth.from_coord(6, a ** 3))
 
 
-def _g2_kkrep(rec: G2Recovered, truth: Codec, t: RatFunc) -> PairRep:
+def _g2_kkrep(truth: Codec, t: RatFunc) -> PairRep:
     return PairRep(truth.from_coord(1, t), truth.from_coord(6, t))
 
 
@@ -474,27 +470,27 @@ def _verify_g2(rec: G2Recovered, truth: Codec, first: bool, rng: random.Random,
     a = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
     b = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
     t = kfield.rand_element(rng)
-    ra, rb = _g2_krep(rec, truth, a), _g2_krep(rec, truth, b)
-    rt = _g2_kkrep(rec, truth, t)
+    ra, rb = _g2_krep(truth, a), _g2_krep(truth, b)
+    rt = _g2_kkrep(truth, t)
     o = rec.oracle
     rep.note(rec.is_K(ra), f"K carrier rejects {render_element(a)}")
     rep.note(rec.is_k(rt), f"k carrier rejects {render_element(t)}")
     bad = PairRep(truth.from_coord(1, a), truth.from_coord(6, a ** 3 + ctx.one()))
     rep.note(not rec.is_K(bad), "K carrier accepts an untied pair")
     s = rec.add(ra, rb)
-    want = _g2_krep(rec, truth, a + b)
+    want = _g2_krep(truth, a + b)
     rep.note(o.eq(s.e, want.e) and o.eq(s.f, want.f),
              f"addition wrong at {render_element(a)} + {render_element(b)}")
-    rc = _g2_krep(rec, truth, a * b)
+    rc = _g2_krep(truth, a * b)
     rep.note(rec.mul_test(ra, rb, rc),
              f"product graph rejects {render_element(a * b)}")
-    wrong = _g2_krep(rec, truth, a * b + ctx.one())
+    wrong = _g2_krep(truth, a * b + ctx.one())
     rep.note(not rec.mul_test(ra, rb, wrong), "product graph accepts an offset")
     rep.note(o.eq(rec.xi_line(ra.e), truth.from_coord(4, a ** 3)),
              f"cubing wrong at {render_element(a)}")
     rep.note(o.eq(rec.j_line(ra.e), truth.from_coord(3, a)),
              "slot-3 identification wrong")
-    rep.note(rec.k_rep_of_K(rt, _g2_krep(rec, truth, t)),
+    rep.note(rec.k_rep_of_K(rt, _g2_krep(truth, t)),
              "subfield embedding disagrees")
     if first:
         rep.note(rec.mul_test(rec.one, rec.one, rec.one), "1*1 != 1")

@@ -107,17 +107,17 @@ def is_symplectic(g: Mat4) -> bool:
 # root subgroups
 # ---------------------------------------------------------------------------
 
-# name -> (length, slot in the quadrangle presentation for positive roots,
-#          matrix positions)
-_ROOT_TABLE: Dict[str, Tuple[str, Optional[int], Tuple[Tuple[int, int], ...]]] = {
-    "alpha": ("short", 1, ((0, 1), (2, 3))),
-    "2alpha+beta": ("long", 2, ((0, 3),)),
-    "alpha+beta": ("short", 3, ((0, 2), (1, 3))),
-    "beta": ("long", 4, ((1, 2),)),
-    "-alpha": ("short", None, ((1, 0), (3, 2))),
-    "-2alpha+beta": ("long", None, ((3, 0),)),
-    "-alpha+beta": ("short", None, ((2, 0), (3, 1))),
-    "-beta": ("long", None, ((2, 1),)),
+# name -> (slot in the quadrangle presentation for positive roots, matrix
+# positions); root lengths are stated once, by the quadrangle datum's slots
+_ROOT_TABLE: Dict[str, Tuple[Optional[int], Tuple[Tuple[int, int], ...]]] = {
+    "alpha": (1, ((0, 1), (2, 3))),
+    "2alpha+beta": (2, ((0, 3),)),
+    "alpha+beta": (3, ((0, 2), (1, 3))),
+    "beta": (4, ((1, 2),)),
+    "-alpha": (None, ((1, 0), (3, 2))),
+    "-2alpha+beta": (None, ((3, 0),)),
+    "-alpha+beta": (None, ((2, 0), (3, 1))),
+    "-beta": (None, ((2, 1),)),
 }
 
 SLOT_ROOT = {1: "alpha", 2: "2alpha+beta", 3: "alpha+beta", 4: "beta"}
@@ -138,18 +138,14 @@ class Sp4Root:
             raise SpecError(f"unknown root {self.name!r}")
 
     @property
-    def length(self) -> str:
-        return _ROOT_TABLE[self.name][0]
-
-    @property
     def slot(self) -> Optional[int]:
-        return _ROOT_TABLE[self.name][1]
+        return _ROOT_TABLE[self.name][0]
 
 
 def chevalley_gen(r: Sp4Root, t: RatFunc) -> Mat4:
     ctx = t.ctx
     g = [list(row) for row in identity4(ctx).rows]
-    for (i, j) in _ROOT_TABLE[r.name][2]:
+    for (i, j) in _ROOT_TABLE[r.name][1]:
         g[i][j] = g[i][j] + t
     return Mat4(ctx, g)
 
@@ -239,7 +235,7 @@ def descent_slots(word: str) -> Tuple[int, ...]:
     matrix position (i, j) of that root in _ROOT_TABLE: an inversion of perm.
     """
     perm = _WEYL_PERM[word]
-    firsts = {s: _ROOT_TABLE[name][2][0] for s, name in SLOT_ROOT.items()}
+    firsts = {s: _ROOT_TABLE[name][1][0] for s, name in SLOT_ROOT.items()}
     return tuple(s for s, (i, j) in firsts.items() if perm[i] > perm[j])
 
 
@@ -406,7 +402,9 @@ def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4,
     data and never answering a false no without it. When that direct
     verdict is not yes, the torus coordinates are tried again divided by
     each product of one, then two, elements of `torus` or their inverses;
-    the direct verdict stands when none of these is yes.
+    the direct verdict stands when none of these is yes. The torus is
+    abelian, so each unordered pair is asked once, and a pair h, h^-1 is
+    not asked: it is the direct question again.
     """
     br = sp4_bruhat(g)
     escape = _slot_escape(br, spec)
@@ -417,9 +415,12 @@ def membership_psp4(g: Mat4, spec: IndifferentSpec, bound: int = 4,
     pool = [(h.s_alpha, h.s_beta) for h in torus]
     pool += [(a.inverse(), b.inverse()) for a, b in pool]
     for depth in (0, 1, 2):
-        for combo in itertools.product(pool, repeat=depth):
+        for combo in itertools.combinations_with_replacement(range(len(pool)), depth):
+            if depth == 2 and combo[1] - combo[0] == len(torus):
+                continue  # pool[combo[1]] is the inverse of pool[combo[0]]
             ta, tb = br.s_alpha, br.s_beta
-            for a, b in combo:
+            for i in combo:
+                a, b = pool[i]
                 ta, tb = ta / a, tb / b
             ra = torus_membership(ta, data_short, bound)
             rb = torus_membership(tb, data_long, bound)
@@ -453,9 +454,6 @@ class StructureData:
 
     spec: IndifferentSpec
     torus_actions: List[Tuple[RatFunc, RatFunc]]
-
-    def mu(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return a * a * b
 
 
 @dataclass

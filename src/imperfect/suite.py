@@ -256,13 +256,14 @@ def _chk_rank1_witness(cfg, rng, inst):
                         {"s": render_element(s), "tau": render_element(tau)})
 
 
-def _rand_uword(datum, rng, max_terms):
-    """A random normal form: each slot gets a nonzero coordinate from its domain
-    with chance 1/2. A zero draw is drawn again, so that every slot chosen is
-    present and every relation between two chosen slots fires in collection."""
+def _rand_uword(datum, rng, max_terms, slots=None):
+    """A random normal form: each slot of `slots`, or by default each slot with
+    chance 1/2, gets a nonzero coordinate from its domain. A zero draw is drawn
+    again, so that every slot chosen is present and every relation between two
+    chosen slots fires in collection."""
     x = datum.identity()
     for slot in range(1, datum.nslots + 1):
-        if rng.random() >= 0.5:
+        if (rng.random() >= 0.5) if slots is None else (slot in slots):
             c = datum.rand_coord(slot, rng, max_terms)
             while c.is_zero():
                 c = datum.rand_coord(slot, rng, max_terms)
@@ -321,12 +322,7 @@ def _chk_unipotent_torus(cfg, rng, inst):
         h = TorusElement2(ctx.gens()[0], ctx.one())
         for _ in range(max(8, cfg.samples // 4)):
             slots = [s for s in range(1, datum.nslots + 1) if rng.random() < 0.6]
-            def draw():
-                x = datum.identity()
-                for s in slots:
-                    x = u_mult(x, datum.generator(s, datum.rand_coord(s, rng, 1)))
-                return x
-            x, y = draw(), draw()
+            x, y = (_rand_uword(datum, rng, 1, slots) for _ in range(2))
             if torus_act(h, u_mult(x, y)) != u_mult(torus_act(h, x), torus_act(h, y)):
                 raise _Fail(f"{key}: torus action is not multiplicative",
                             {"x": repr(x), "y": repr(y)})

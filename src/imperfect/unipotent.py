@@ -166,11 +166,11 @@ def c2_datum(ctx: Context, K0: Optional[RSpaceSpec], L0: Optional[RSpaceSpec]) -
         raise FieldError("the quadrangle datum lives in characteristic 2")
     if (K0 is None) != (L0 is None) or (L0 is not None and L0.over.gens):
         raise SpecError("the quadrangle datum takes K0 and a K^2-space L0, or neither")
-    for k in K0.basis if K0 is not None else ():
-        for l in L0.basis:
-            if not K0.contains(k * l):
-                raise SpecError(f"{render_element(k)} in K0 times {render_element(l)} "
-                                f"in L0 is {render_element(k * l)}, which is not in K0")
+    escape = next(K0.escapes(L0.basis), None) if K0 is not None else None
+    if escape is not None:
+        k, l = escape
+        raise SpecError(f"{render_element(k)} in K0 times {render_element(l)} "
+                        f"in L0 is {render_element(k * l)}, which is not in K0")
 
     def r14(t, a):
         return [(2, t * t * a), (3, t * a)]
@@ -344,18 +344,8 @@ def torus_act(h: TorusElement2, x: UElement) -> UElement:
 
 def torus_normalizes(h: TorusElement2, datum: RootDatum2) -> bool:
     """Whether the slot-wise scaling stabilizes every coordinate domain."""
-    for slot in datum.slots:
-        f = h.factor(datum, slot.index)
-        d = slot.domain
-        if d is None:
-            continue
-        if isinstance(d, SubfieldSpec):
-            # a field is stabilized by f exactly when f lies in it
-            if not d.contains(f):
-                return False
-        elif not d.stable_under(f):
-            return False
-    return True
+    return all(s.domain is None or s.domain.stable_under(h.factor(datum, s.index))
+               for s in datum.slots)
 
 
 # ---------------------------------------------------------------------------

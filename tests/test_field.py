@@ -84,8 +84,8 @@ def test_equal_contexts_mix_and_unequal_ones_do_not():
     a, b = Context(2, ("t", "u")), Context(2, ("t", "u"))
     assert a is not b and a == b
     x, y = a.var("t"), b.var("u")
-    assert x + y == a.parse("t+u") and x - y == b.parse("t+u")
-    assert x * y == a.parse("t*u") and x / y == b.parse("t/u")
+    assert x + y == parse_element("t+u", a) and x - y == parse_element("t+u", b)
+    assert x * y == parse_element("t*u", a) and x / y == parse_element("t/u", b)
     for other in (Context(3, ("t", "u")), Context(2, ("t", "v")), Context(2, ("t",))):
         z = other.var("t")
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
@@ -95,8 +95,9 @@ def test_equal_contexts_mix_and_unequal_ones_do_not():
             with pytest.raises(FieldError, match="mixed field contexts"):
                 op(z, x)
         # zero and polynomial operands, which take the short-cuts of +, - and *
-        mine = (a.zero(), a.one(), x, a.parse("t^2+u"), a.parse("1/(t+1)"))
-        theirs = (other.zero(), other.one(), z, other.parse("t^2+1"), other.parse("1/(t+1)"))
+        mine = (a.zero(), a.one(), x, parse_element("t^2+u", a), parse_element("1/(t+1)", a))
+        theirs = (other.zero(), other.one(), z, parse_element("t^2+1", other),
+                  parse_element("1/(t+1)", other))
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
             for m in mine:
                 for o in theirs:

@@ -11,7 +11,10 @@ level, by def, class or assignment, counts as referenced when any module of
 the package, __init__ included, reads it: as a name, as an attribute, or
 in a from-import. Tests do not count, so a helper that only tests call
 belongs in the tests. The same holds for a public def or class at module
-level: some module of the package reads it, or __init__ exports it.
+level: some module of the package reads it, or __init__ exports it. A
+method or property of a module-level class, other than a dunder, is reached
+only as an attribute, so its name must be read as an attribute somewhere in
+the package; like the other rules, this one goes by name, not by class.
 
 No module writes into the terms dict of a polynomial. A product by 1 hands
 back its other factor, so polynomials and field elements are shared, and a
@@ -155,6 +158,39 @@ def test_the_scan_sees_an_unread_public_definition():
                      "def _private():\n    return D\n")
     names = {name for name, _ in public_definitions(tree)} - referenced_names(tree)
     assert names == {"f", "C"}
+
+
+def method_definitions(tree):
+    """(class, name, line) for every method or property of a module-level
+    class, dunders left out."""
+    return [(node.name, item.name, item.lineno) for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def attribute_names(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_no_method_goes_unread():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    read = set().union(*(attribute_names(tree) for tree in trees.values()))
+    unread = [f"{cls}.{name} ({module}:{line})" for module, tree in trees.items()
+              for cls, name, line in method_definitions(tree) if name not in read]
+    assert not unread, f"never read in src: {', '.join(unread)}"
+
+
+def test_the_scan_sees_an_unread_method():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self):\n        self.used()\n"
+                     "    def used(self):\n        return self.size\n"
+                     "    @property\n    def size(self):\n        return 1\n"
+                     "    @property\n    def length(self):\n        return 2\n"
+                     "    def unread(self, length):\n        return length\n"
+                     "def f(x):\n    def inner():\n        pass\n    return inner\n")
+    names = {name for _, name, _ in method_definitions(tree)} - attribute_names(tree)
+    assert names == {"length", "unread"}
 
 
 DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}

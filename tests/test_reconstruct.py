@@ -69,11 +69,11 @@ def test_g2_recovered_multiplication_example():
     rec = g2_recover(oracle)
     ctx = datum.ctx
     s, v = ctx.gens()
-    ra = _g2_krep(rec, codec, s)
-    rb = _g2_krep(rec, codec, v ** 3)
-    rc = _g2_krep(rec, codec, s * v ** 3)
+    ra = _g2_krep(codec, s)
+    rb = _g2_krep(codec, v ** 3)
+    rc = _g2_krep(codec, s * v ** 3)
     assert rec.mul_test(ra, rb, rc)
-    assert not rec.mul_test(ra, rb, _g2_krep(rec, codec, s * v ** 3 + ctx.one()))
+    assert not rec.mul_test(ra, rb, _g2_krep(codec, s * v ** 3 + ctx.one()))
 
 
 def test_g2_addition_goes_componentwise():
@@ -84,10 +84,10 @@ def test_g2_addition_goes_componentwise():
     for _ in range(10):
         a = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
         b = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, denominators=False)
-        ra = _g2_krep(rec, codec, a)
-        rb = _g2_krep(rec, codec, b)
+        ra = _g2_krep(codec, a)
+        rb = _g2_krep(codec, b)
         rsum = rec.add(ra, rb)
-        want = _g2_krep(rec, codec, a + b)
+        want = _g2_krep(codec, a + b)
         assert oracle.eq(rsum.e, want.e) and oracle.eq(rsum.f, want.f)
 
 
@@ -97,12 +97,12 @@ def test_g2_subfield_embedding():
     ctx = datum.ctx
     s = ctx.var("s")
     # the coordinate subfield k = K^3[s] meets the K-carrier in the k-carrier
-    rk = _g2_kkrep(rec, codec, s)
+    rk = _g2_kkrep(codec, s)
     assert rec.is_k(rk)
-    rK = _g2_krep(rec, codec, s)
+    rK = _g2_krep(codec, s)
     assert rec.is_K(rK)
     assert rec.k_rep_of_K(rk, rK)
-    rK2 = _g2_krep(rec, codec, s + ctx.one())
+    rK2 = _g2_krep(codec, s + ctx.one())
     assert not rec.k_rep_of_K(rk, rK2)
 
 

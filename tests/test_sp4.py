@@ -5,7 +5,7 @@ from typing import Tuple
 
 import pytest
 
-from imperfect import field
+from imperfect import field, sp4
 from imperfect.field import Context, FieldError, RatFunc, poly_gcd
 from imperfect.presets import Bundle
 from imperfect.rank1 import Membership, TorusWitness, torus_membership
@@ -58,12 +58,18 @@ def line_spec():
     return IndifferentSpec(ctx, [ctx.one(), t], (t,), [ctx.one()])
 
 
+def root_length(name):
+    """The length of a root, read off the quadrangle datum's slot for it or
+    for its negative."""
+    return full_datum(CTX).slot(Sp4Root(name.lstrip("-")).slot).length
+
+
 def rand_word_matrix(spec, rng, length=6, torus=False):
     ctx = spec.ctx
     g = identity4(ctx)
     for _ in range(rng.randint(1, length)):
         name = rng.choice(ALL_ROOTS)
-        dom = spec.K0 if Sp4Root(name).length == "short" else spec.L0
+        dom = spec.K0 if root_length(name) == "short" else spec.L0
         c = dom.rand_element(rng, nonzero=True)
         g = g * chevalley_gen(Sp4Root(name), c)
     if torus and rng.random() < 0.5:
@@ -119,10 +125,10 @@ def test_form_and_generators():
 
 
 def test_root_length_and_slots():
-    assert Sp4Root("alpha").length == "short"
-    assert Sp4Root("beta").length == "long"
-    assert Sp4Root("2alpha+beta").length == "long"
-    assert Sp4Root("alpha+beta").length == "short"
+    assert root_length("alpha") == root_length("-alpha") == "short"
+    assert root_length("beta") == root_length("-beta") == "long"
+    assert root_length("2alpha+beta") == root_length("-2alpha+beta") == "long"
+    assert root_length("alpha+beta") == root_length("-alpha+beta") == "short"
     assert Sp4Root("-beta").slot is None
     assert {Sp4Root(SLOT_ROOT[i]).slot for i in (1, 2, 3, 4)} == {1, 2, 3, 4}
     with pytest.raises(SpecError):
@@ -132,7 +138,7 @@ def test_root_length_and_slots():
 def test_slot_domain_follows_root_length():
     for spec in (line_spec(), proper_spec()):
         for slot, name in SLOT_ROOT.items():
-            want = spec.K0 if Sp4Root(name).length == "short" else spec.L0
+            want = spec.K0 if root_length(name) == "short" else spec.L0
             assert slot_domain(spec, slot) is want
     spec = proper_spec()
     assert spec.K0 is not spec.L0
@@ -771,15 +777,6 @@ def test_the_torus_normalizer_check_agrees_with_the_quadrangle_datum(name):
     assert set(answers) == ({True} if name == "indifferent-weak" else {True, False})
 
 
-def test_structure_data_mu():
-    spec = proper_spec()
-    ctx = spec.ctx
-    t, u, v = ctx.gens()
-    m = StructureData(spec, [])
-    assert m.mu(t, u) == t * t * u
-    assert m.mu(ctx.one(), u) == u
-
-
 def test_build_group_from_M():
     b = Bundle.load("indifferent-weak")
     group = b.sp4()
@@ -915,6 +912,84 @@ def test_membership_matches_the_two_old_procedures():
     assert by_uv.membership(torus_matrix(u * v, u * v)).reason == (
         "after removing a depth-2 torus part")
     assert by_uv.membership(torus_matrix(u, v)).verdict == "no"
+
+
+def membership_psp4_by_ordered_pairs(g, spec, bound=4, torus=()):
+    """membership_psp4 with its depth-2 search over ordered pairs, h * h^-1
+    included; kept as the oracle for the search over unordered pairs."""
+    br = sp4_bruhat(g)
+    escape = _slot_escape(br, spec)
+    if escape is not None:
+        return escape
+    data_short, data_long = spec.torus_data
+    pool = [(h.s_alpha, h.s_beta) for h in torus]
+    pool += [(a.inverse(), b.inverse()) for a, b in pool]
+    for depth in (0, 1, 2):
+        for combo in itertools.product(pool, repeat=depth):
+            ta, tb = br.s_alpha, br.s_beta
+            for a, b in combo:
+                ta, tb = ta / a, tb / b
+            ra = torus_membership(ta, data_short, bound)
+            rb = torus_membership(tb, data_long, bound)
+            if ra.verdict == "yes" and rb.verdict == "yes":
+                return Membership(
+                    "yes",
+                    TorusWitness((ra.witness.factors if ra.witness else [])
+                                 + (rb.witness.factors if rb.witness else [])),
+                    reason=f"after removing a depth-{depth} torus part" if depth else "",
+                )
+            if not depth:
+                direct = ra.verdict, rb.verdict
+    va, vb = direct
+    if "no" in direct:
+        return Membership(
+            "no",
+            reason=f"torus coordinate outside the generated field (alpha: {va}, beta: {vb})",
+        )
+    return Membership("unknown", reason=f"torus coordinates undecided (alpha: {va}, beta: {vb})")
+
+
+@pytest.mark.parametrize("gens", [1, 2])
+def test_the_torus_search_over_unordered_pairs_matches_ordered_pairs(gens):
+    proper = proper_spec()
+    _, u, v = proper.ctx.gens()
+    one = proper.ctx.one()
+    actions = [(v, one), (u, one)][:gens]
+    group = build_group_from_M(StructureData(proper, actions))
+    hs = torus_matrices(group)
+    pool = hs + [h.inverse() for h in hs]
+    rng = random.Random(21 + gens)
+    seen = set()
+    for k in range(12):
+        g = rand_word_matrix(proper, rng, length=3) if k % 2 else identity4(proper.ctx)
+        for h in rng.sample(pool, k % 3):
+            g = g * h
+        if k % 4 == 3:
+            g = g * torus_matrix(u, v)  # outside the reachable torus
+        got = _summary(membership_psp4(g, proper, torus=group.torus))
+        assert got == _summary(membership_psp4_by_ordered_pairs(g, proper, torus=group.torus))
+        seen.add((got[0], got[1].split(" ")[0], got[1][-18:]))
+    assert {"yes", "no"} <= {verdict for verdict, _, _ in seen}
+    # with one generator h, a depth-2 part h^2 or h^-2 has square coordinates
+    # and is found at depth 0
+    assert (("yes", "after", "depth-2 torus part") in seen) == (gens == 2)
+
+
+def test_the_depth_two_search_asks_each_unordered_pair_once(monkeypatch):
+    # one torus generator h: depth 2 asks h*h and h^-1*h^-1, not h*h^-1 twice
+    # nor h^-1*h; v is outside every field the search reaches
+    group = Bundle.load("indifferent-weak").sp4()
+    asked = []
+    real = sp4.torus_membership
+
+    def counting(x, data, bound):
+        asked.append(x)
+        return real(x, data, bound)
+
+    monkeypatch.setattr(sp4, "torus_membership", counting)
+    v = group.ctx.gens()[-1]
+    assert group.membership(torus_matrix(v, v)).verdict != "yes"
+    assert len(asked) == 2 * (1 + 2 + 2)
 
 
 def test_torus_data_is_built_once_per_spec(monkeypatch):

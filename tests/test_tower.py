@@ -7,7 +7,8 @@ from typing import List, Sequence
 import pytest
 
 from imperfect import _linalg
-from imperfect.field import Context, frobenius, over_one_den, parse_element, render_element
+from imperfect.field import (Context, frobenius, over_one_den, parse_element, prod,
+                             render_element)
 from imperfect.pbasis import PBasis, is_p_independent, p_monomial
 from imperfect.presets import Bundle, Config, preset, preset_names
 from imperfect.tower import (
@@ -16,11 +17,14 @@ from imperfect.tower import (
     SpecError,
     SubfieldSpec,
     TowerSpec,
+    ValidationReport,
+    _greedy_gens,
     _stabilizer_vectors,
     stabilizer_field,
     validate_indifferent,
     validate_tower,
 )
+from imperfect.unipotent import c2_datum
 from oracles import cleared, lambda_ambient, rank
 
 
@@ -535,6 +539,128 @@ def test_indifferent_detects_unstable_k0():
     assert "K0-stable-under-L0-field" in failed
 
 
+def subset_products(xs, ctx):
+    out = [ctx.one()]
+    for x in xs:
+        out += [y * x for y in out]
+    return [x for x in out if not x.is_one()]
+
+
+def validate_indifferent_by_products(spec):
+    """The indifferent validator that asks every condition by membership
+    queries: 1 in L0, squares of K0 times L0, and the square-free products
+    of L0's basis times K0's basis."""
+    ctx = spec.ctx
+    report = ValidationReport(subject="indifferent")
+
+    report.add("L0.contains-one", spec.L0.contains(ctx.one()))
+
+    bad = [b for b in spec.L0.basis if not spec.K0.contains(b)]
+    report.add(
+        "L0-inside-K0",
+        not bad,
+        "" if not bad else "escaped: " + ", ".join(render_element(x) for x in bad),
+    )
+
+    bad_pairs = []
+    squares = [b * b for b in spec.K0.basis]
+    square_products = squares + [
+        squares[i] * squares[j]
+        for i in range(len(squares))
+        for j in range(i + 1, len(squares))
+    ]
+    for sq in square_products:
+        for l in spec.L0.basis:
+            if not spec.L0.contains(sq * l):
+                bad_pairs.append((sq, l))
+    report.add(
+        "L0-stable-under-K0-squares",
+        not bad_pairs,
+        ""
+        if not bad_pairs
+        else "; ".join(
+            f"{render_element(s)} * {render_element(l)} escapes L0" for s, l in bad_pairs[:3]
+        ),
+    )
+
+    bad_pairs = []
+    for m in subset_products(spec.L0.basis, ctx):
+        for b in spec.K0.basis:
+            if not spec.K0.contains(m * b):
+                bad_pairs.append((m, b))
+    report.add(
+        "K0-stable-under-L0-field",
+        not bad_pairs,
+        ""
+        if not bad_pairs
+        else "; ".join(
+            f"{render_element(m)} * {render_element(b)} escapes K0" for m, b in bad_pairs[:3]
+        ),
+    )
+
+    if not spec.weak:
+        gens = _greedy_gens(spec.E0.gens + spec.K0.basis)
+        report.add(
+            "K0-generates-K",
+            len(gens) == ctx.n,
+            f"K^2[K0] has p-degree {len(gens)} of {ctx.n}",
+        )
+
+    report.dims["dim_L0_over_K2"] = len(spec.L0.basis)
+    report.dims["dim_K0_over_E0"] = len(spec.K0.basis)
+    report.dims["[E0:K2]"] = spec.E0.dim_over_p
+    return report
+
+
+def rand_indifferent_specs(rng, count):
+    """`count` indifferent specs over F_2(t,u) or F_2(t,u,v), weak and
+    proper, with bases of 1 to 3 sums of square-free monomials; draws that
+    the constructor rejects are skipped."""
+    out = []
+    while len(out) < count:
+        ctx = rng.choice((CTX2, CTX))
+        gens = ctx.gens()
+
+        def element():
+            monomials = {tuple(rng.random() < 0.5 for _ in gens) for _ in range(rng.randint(1, 2))}
+            return sum((prod((g for g, e in zip(gens, es) if e), ctx.one()) for es in monomials),
+                       ctx.zero())
+
+        def basis():
+            return [ctx.one()] + [element() for _ in range(rng.randint(0, 2))]
+
+        L0 = basis()
+        K0 = L0 + [element()] if rng.random() < 0.5 else basis()
+        E0 = [rng.choice(gens)] if rng.random() < 0.3 else []
+        try:
+            out.append(IndifferentSpec(ctx, L0, E0, K0, weak=rng.random() < 0.5))
+        except SpecError:
+            continue
+    return out
+
+
+def test_validate_indifferent_matches_the_product_checks():
+    seen = Counter()
+    for spec in rand_indifferent_specs(random.Random(1), 220):
+        new, old = validate_indifferent(spec), validate_indifferent_by_products(spec)
+        assert [(c.name, c.status) for c in new.checks] == [
+            (c.name, c.status) for c in old.checks
+        ], spec
+        if old.ok:
+            assert new.to_dict() == old.to_dict()
+        stable = next(c for c in new.checks if c.name == "K0-stable-under-L0-field")
+        try:
+            c2_datum(spec.ctx, spec.K0, spec.L0)
+            closed = True
+        except SpecError:
+            closed = False
+        assert closed == (stable.status == "pass"), spec
+        seen[spec.weak, old.ok, stable.status] += 1
+    assert {weak for weak, _, _ in seen} == {True, False}
+    assert sum(n for (_, ok, _), n in seen.items() if ok) >= 20, seen
+    assert sum(n for (_, _, status), n in seen.items() if status == "fail") >= 20, seen
+
+
 def test_stable_under_matches_the_basis_loop():
     def old_loop(R, f):
         for b in R.basis:
@@ -558,6 +684,34 @@ def test_stable_under_matches_the_basis_loop():
             seen.add(got)
         assert not R.stable_under(ctx.zero())  # 0 * R = {0}
     assert seen == {True, False}
+
+
+def test_escapes_runs_the_basis_outside_and_stops_at_what_is_asked():
+    ctx = CTX2
+    one, (t, u) = ctx.one(), ctx.gens()
+    K0 = RSpaceSpec("K0", kp(ctx), [one, t, u])
+    # t^2 and u^2 lie in K^2, and t*u is the one product that leaves K0
+    assert list(K0.escapes([one, t, u])) == [(t, u), (u, t)]
+    asked = []
+    real = K0.contains
+    K0.contains = lambda x: asked.append(x) or real(x)
+    assert next(K0.escapes([one, t, u])) == (t, u)
+    assert asked == [one, t, u, t, t * t, t * u]
+
+
+def test_a_subfield_is_stable_exactly_under_its_nonzero_elements():
+    rng = random.Random(6)
+    ctx = CTX
+    t, u, v = ctx.gens()
+    for F in (kp(ctx), SubfieldSpec("K1", (t,), ctx), SubfieldSpec("K2", (t, u * v), ctx)):
+        as_space = RSpaceSpec("F", F, [ctx.one()])
+        fs = [ctx.zero(), ctx.one(), t, u, t * u * v, t * t + v * v, t / (u * u + ctx.one())]
+        fs += [F.rand_element(rng, nonzero=True) for _ in range(4)]
+        seen = set()
+        for f in fs:
+            assert F.stable_under(f) == as_space.stable_under(f), (F, f)
+            seen.add(F.stable_under(f))
+        assert seen == {True, False}
 
 
 def test_indifferent_proper_requires_full_degree():

@@ -433,3 +433,26 @@ def test_every_relation_fires_at_every_suite_seed(monkeypatch):
         suite._chk_unipotent_assoc(cfg, rng, inst)
     missing = [(seed, *r) for seed in range(12) for r in relations if not counts[(seed, *r)]]
     assert not missing, missing
+
+
+def test_every_torus_check_slot_is_present_at_every_suite_seed(monkeypatch):
+    # the torus-action check draws x and y through _rand_uword on the slots
+    # it picks, so no picked slot is left out by a zero draw
+    drawn = []
+    real = suite._rand_uword
+
+    def recording(datum, rng, max_terms, slots=None):
+        x = real(datum, rng, max_terms, slots)
+        drawn.append((seed, datum.kind, slots, x))
+        return x
+
+    monkeypatch.setattr(suite, "_rand_uword", recording)
+    cfg = suite.SuiteConfig()
+    inst = suite._instances(cfg)
+    for seed in range(12):
+        rng = random.Random(suite._check_seed(seed, "unipotent.torus-action"))
+        suite._chk_unipotent_torus(cfg, rng, inst)
+    assert {kind for _, kind, _, _ in drawn} == {"G2", "C2"}
+    missing = [(seed, kind, slots, repr(x)) for seed, kind, slots, x in drawn
+               if [s for s, _ in x.word()] != slots]
+    assert not missing, missing
