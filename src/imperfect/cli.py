@@ -21,7 +21,7 @@ from .rank1 import (Mat2, bruhat2, Cell, factor_codim1, membership_sl2L,
                     perfectness_witness)
 from .reconstruct import negative_control, recover, verify_recovery
 from .sp4 import Mat4, sp4_bruhat
-from .tower import SubfieldSpec, validate_indifferent, validate_tower
+from .tower import InvariantViolation, SubfieldSpec, validate_indifferent, validate_tower
 from .unipotent import (TorusElement2, c2_datum, center_member, commutator,
                         g2_datum, parse_uword, torus_act, torus_normalizes,
                         u_mult, z2_member)
@@ -200,7 +200,10 @@ def _cmd_u_act(args) -> int:
 
 
 def _cmd_sp4_bruhat(args) -> int:
-    br = sp4_bruhat(_mat4(args.matrix, _ctx_from(args)))
+    g = _mat4(args.matrix, _ctx_from(args))
+    br = sp4_bruhat(g)
+    if not br.reassembles(g):
+        raise InvariantViolation("decomposition does not reassemble")
     _emit({"u1": repr(br.u1), "word": br.word,
            "s_alpha": render_element(br.s_alpha),
            "s_beta": render_element(br.s_beta),

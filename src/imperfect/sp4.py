@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .field import Context, FieldError, RatFunc, over_one_den, pth_root, render_element
 from .rank1 import Membership, TimmesfeldData, TorusWitness, torus_membership
 from .tower import IndifferentSpec, InvariantViolation, RSpaceSpec, SpecError, SubfieldSpec
-from .unipotent import RootDatum2, TorusElement2, UElement, c2_datum
+from .unipotent import RootDatum2, TorusElement2, UElement, c2_datum, torus_normalizes
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +294,11 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
     its diagonal and the rows of V with pivots in columns 0 and 1.
 
     The checks: g is symplectic, every pivot is nonzero, the pivots form a
-    Weyl chamber, u2 lies on its descent slots, and the answer reassembles to
-    g, decided by Bruhat4.reassembles as u1 * h * n_w == g * u2^-1 over
-    unreduced fractions, with no gcd. The reassembly certifies the answer,
-    and with the support check it is the unique canonical one; an arithmetic
-    fault in the split would break it too.
+    Weyl chamber, and u2 lies on its descent slots. The split writes each
+    row of g as a row of B times V, and a factorization B * V with V's pivot
+    normalization is unique, so the answer reassembles to g unless the
+    split's arithmetic is wrong. That check, Bruhat4.reassembles, runs at the
+    CLI and in the tests, with to_matrix as its oracle.
     """
     ctx = g.ctx
     if not is_symplectic(g):
@@ -345,10 +345,7 @@ def sp4_bruhat(g: Mat4) -> Bruhat4:
             raise InvariantViolation(
                 f"tail coordinate in slot {slot} outside the chamber support {allowed}"
             )
-    out = Bruhat4(u1, word, s_alpha, s_beta, u2)
-    if not out.reassembles(g):
-        raise InvariantViolation("decomposition does not reassemble")
-    return out
+    return Bruhat4(u1, word, s_alpha, s_beta, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +472,10 @@ def build_group_from_M(m: StructureData) -> Sp4Context:
     Each torus generator is handed over by its action scalars (f1 on the
     short extreme slot, f4 on the long one); the diagonal coordinates are
     s_beta = f1*f4 and s_alpha the square root of f1^2*f4, which exists for
-    a consistent action and fails loudly otherwise.
+    a consistent action and fails loudly otherwise, as does an action that
+    does not normalize PSp4(L0, K0).
     """
-    c2_datum(m.spec.ctx, m.spec.K0, m.spec.L0)  # SpecError unless L0 * K0 <= K0
+    datum = c2_datum(m.spec.ctx, m.spec.K0, m.spec.L0)  # SpecError unless L0 * K0 <= K0
     torus = []
     for f1, f4 in m.torus_actions:
         if f1.is_zero() or f4.is_zero():
@@ -490,6 +488,9 @@ def build_group_from_M(m: StructureData) -> Sp4Context:
                 f"{render_element(f1 * f1 * f4)} has no square root"
             )
         torus.append(TorusElement2(s_alpha, s_beta))
+        if not torus_normalizes(torus[-1], datum):
+            raise SpecError("torus action does not normalize PSp4(L0, K0): "
+                            f"[{render_element(f1)}, {render_element(f4)}]")
     return Sp4Context(m.spec, torus)
 
 

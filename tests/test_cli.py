@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import re
 import shlex
 import time
@@ -9,9 +10,11 @@ import pytest
 
 from imperfect import cli, reconstruct, suite
 from imperfect.cli import main
-from imperfect.field import ParseError, parse_element
+from imperfect.field import ParseError, parse_element, render_element
 from imperfect.presets import Bundle, preset
 from imperfect.reconstruct import ReconstructError
+from imperfect.sp4 import WEYL_WORDS, Bruhat4, Mat4, torus_matrix, weyl_rep
+from test_sp4 import CTX, rand_plain_word
 
 
 def write_preset(name, path):
@@ -303,6 +306,17 @@ def test_sp4_member_on_a_non_closed_quadrangle_config_is_exit_one(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1 and "K0" in err
 
 
+def test_sp4_member_on_a_torus_action_that_does_not_normalize_is_exit_one(tmp_path, capsys):
+    # h = (v, v) scales slot 1 by v, which leaves K0
+    raw = preset("indifferent-proper")
+    raw["sp4"]["torus_actions"] = [["v", "1"]]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "sp4", "member", "--matrix", MATRIX4, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: torus action does not normalize PSp4(L0, K0): [v, 1]\n"
+
+
 def test_u_mult_rejects_a_trailing_star_and_the_empty_word(capsys):
     for words in (("x1(t)*", "x4(u)"), ("x1(t)", "")):
         code, out, err = run(capsys, "u", "mult", "--kind", "c2", *words,
@@ -361,6 +375,31 @@ def test_sp4_bruhat(capsys):
     assert payload["word"] == "e"
     assert payload["u1"] == "x1(t)"
     assert payload["s_alpha"] == "1"
+
+
+def test_sp4_bruhat_checks_the_reassembly(monkeypatch, capsys):
+    # the library returns the split unchecked; the CLI reassembles it before
+    # printing, so a split one entry off exits 1 with one error line
+    honest = Bruhat4.reassembles
+
+    def one_entry_off(self, g):
+        rows = [list(r) for r in g.rows]
+        rows[0][3] = rows[0][3] + g.ctx.one()
+        return honest(self, Mat4(g.ctx, rows))
+
+    t = CTX.var("t")
+    mats = [torus_matrix(t, CTX.one()) * weyl_rep(w, CTX) for w in WEYL_WORDS]
+    rng = random.Random(63)
+    mats += [rand_plain_word(CTX, rng) for _ in range(4)]
+    texts = [";".join(render_element(e) for row in g.rows for e in row) for g in mats]
+    for text in texts:
+        code, out, _ = run(capsys, "sp4", "bruhat", "--matrix", text)
+        assert code == 0 and out
+    monkeypatch.setattr(Bruhat4, "reassembles", one_entry_off)
+    for text in texts:
+        code, out, err = run(capsys, "sp4", "bruhat", "--matrix", text)
+        assert (code, out) == (1, "")
+        assert err == "error: decomposition does not reassemble\n"
 
 
 def test_sp4_member(capsys):

@@ -43,7 +43,8 @@ def _config(name: str, **changes) -> dict:
 
 # configuration files, named in an argv as "{name}"
 CONFIGS = {
-    "torus": _config("indifferent-proper", sp4__torus_actions=[["v", "1"], ["u", "1"]]),
+    # torus actions that normalize PSp4(L0, K0): h = (u, u) and h = (v, v^2)
+    "torus": _config("indifferent-proper", sp4__torus_actions=[["u", "1"], ["1", "v^2"]]),
     "strict-short": _config("indifferent-proper", indifferent__weak=False),
     "strict-full": _config("indifferent-proper", indifferent__weak=False,
                            indifferent__K0={"over_field_gens": ["t"], "basis": ["1", "u", "v"]}),
@@ -78,9 +79,9 @@ CASES = {
     "sp4-member-escape": (["sp4", "member", "--config", "indifferent-proper", "--matrix",
                            "1;v;0;0;0;1;0;0;0;0;1;v;0;0;0;1"], 0),
     "sp4-member-depth1": (["sp4", "member", "--config", "{torus}", "--matrix",
-                           _diag("v", "1", "1", "1/(v)")], 0),
+                           _diag("u", "1", "1", "1/(u)")], 0),
     "sp4-member-depth2": (["sp4", "member", "--config", "{torus}", "--matrix",
-                           _diag("u*v", "1", "1", "1/(u*v)")], 0),
+                           _diag("u*v", "v", "1/(v)", "1/(u*v)")], 0),
     "sp4-member-torus-no": (["sp4", "member", "--config", "{torus}", "--matrix",
                              _diag("u", "v/(u)", "u/(v)", "1/(u)")], 0),
     "reconstruct-g2": (["reconstruct", "g2", "--config", "g2", "--samples", "6"], 0),

@@ -611,29 +611,46 @@ def test_sp4_bruhat_matches_oracle_on_proper_words():
     assert_matches_oracle([g for k, g in enumerate(words) if k != 12])
 
 
-def test_the_reassembly_certifies_the_decomposition(monkeypatch):
-    honest = Bruhat4.reassembles
-
-    def one_entry_off(self, g):
-        rows = [list(r) for r in g.rows]
-        rows[0][3] = rows[0][3] + g.ctx.one()
-        return honest(self, Mat4(g.ctx, rows))
-
-    t = CTX.var("t")
-    mats = [torus_matrix(t, CTX.one()) * weyl_rep(w, CTX) for w in WEYL_WORDS]
-    rng = random.Random(63)
-    mats += [rand_plain_word(CTX, rng) for _ in range(4)]
-    for g in mats:
-        sp4_bruhat(g)
-    monkeypatch.setattr(Bruhat4, "reassembles", one_entry_off)
-    for g in mats:
-        with pytest.raises(InvariantViolation, match="decomposition does not reassemble"):
-            sp4_bruhat(g)
-
-
 def rand_fraction(ctx, rng):
     num = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True, denominators=False)
     return num / (ctx.var(rng.choice(ctx.names)) + ctx.scalar(rng.randint(0, 1)))
+
+
+POSITIVE_ROOTS = ["alpha", "2alpha+beta", "alpha+beta", "beta"]
+
+
+def test_the_split_reassembles_on_every_chamber():
+    # sp4_bruhat does not multiply its answer back, so its split is checked
+    # here: g = u * h * n_w * u' for positive root words u and u' lies in
+    # chamber w, and the answer must rebuild g both ways
+    ctx = CTX
+    rng = random.Random(65)
+
+    def coord(fractions):
+        if fractions:
+            return rand_fraction(ctx, rng)
+        return ctx.rand_ratfunc(rng, max_deg=1, max_terms=2, nonzero=True, denominators=False)
+
+    def positive_word(fractions):
+        g = identity4(ctx)
+        for _ in range(rng.randint(1, 4)):
+            g = g * chevalley_gen(Sp4Root(rng.choice(POSITIVE_ROOTS)), coord(fractions))
+        return g
+
+    cases = []
+    for w in WEYL_WORDS:
+        for fractions in (False, True):
+            for _ in range(3):
+                g = (positive_word(fractions) * torus_matrix(coord(fractions), coord(fractions))
+                     * weyl_rep(w, ctx) * positive_word(fractions))
+                cases.append((w, g))
+    assert sum(any(not e.den.is_one() for row in g.rows for e in row) for _, g in cases) >= 24
+    cases += [(None, g) for k, g in enumerate(proper_tail_words()) if k != 12]
+    for w, g in cases:
+        br = sp4_bruhat(g)
+        assert w is None or br.word == w
+        assert br.reassembles(g), g
+        assert br.to_matrix() == g, g
 
 
 def test_sp4_bruhat_matches_oracle_with_denominators():
@@ -892,10 +909,11 @@ def test_membership_matches_the_two_old_procedures():
     group = Bundle.load("indifferent-proper").sp4()
     cases += [(group, torus_matrix(v, one)),
               (group, chevalley_gen(Sp4Root("alpha"), u) * torus_matrix(v, one))]
-    # reachable torus quotients
-    by_v = build_group_from_M(StructureData(proper, [(v, one)]))
-    by_uv = build_group_from_M(StructureData(proper, [(v, one), (u, one)]))
-    cases += [(by_v, torus_matrix(v, v)), (by_uv, torus_matrix(u * v, u * v)),
+    # reachable torus quotients, through actions that normalize: (u, 1) gives
+    # h = (u, u) and (1, v^2) gives h = (v, v^2)
+    by_u = build_group_from_M(StructureData(proper, [(u, one)]))
+    by_uv = build_group_from_M(StructureData(proper, [(u, one), (one, v * v)]))
+    cases += [(by_u, torus_matrix(u, u)), (by_uv, torus_matrix(u * v, u * v * v)),
               (by_uv, torus_matrix(u, v))]
     seen = set()
     for group, g in cases:
@@ -907,9 +925,9 @@ def test_membership_matches_the_two_old_procedures():
     # every branch of the procedure was reached
     assert seen == {("yes", ""), ("no", "slot"), ("unknown", "torus"), ("no", "torus"),
                     ("yes", "after")}
-    assert membership_psp4(torus_matrix(v, v), proper).verdict == "no"
-    assert by_v.membership(torus_matrix(v, v)).reason == "after removing a depth-1 torus part"
-    assert by_uv.membership(torus_matrix(u * v, u * v)).reason == (
+    assert membership_psp4(torus_matrix(u, u), proper).verdict == "no"
+    assert by_u.membership(torus_matrix(u, u)).reason == "after removing a depth-1 torus part"
+    assert by_uv.membership(torus_matrix(u * v, u * v * v)).reason == (
         "after removing a depth-2 torus part")
     assert by_uv.membership(torus_matrix(u, v)).verdict == "no"
 
@@ -949,12 +967,27 @@ def membership_psp4_by_ordered_pairs(g, spec, bound=4, torus=()):
     return Membership("unknown", reason=f"torus coordinates undecided (alpha: {va}, beta: {vb})")
 
 
+def test_a_torus_action_that_does_not_normalize_is_refused():
+    # h = (v, v) scales slot 1 by v, which leaves K0 = K^2(t) + u*K^2(t)
+    proper = proper_spec()
+    t, u, v = proper.ctx.gens()
+    one = proper.ctx.one()
+    datum = Bundle.load("indifferent-proper").c2()
+    for action in [(u, one), (v * v, one), (t * t, t * t), (one, v * v)]:
+        group = build_group_from_M(StructureData(proper, [action]))
+        assert torus_normalizes(group.torus[0], datum)
+    assert not torus_normalizes(TorusElement2(v, v), datum)
+    for actions in ([(v, one)], [(u, one), (v, one)]):
+        with pytest.raises(SpecError, match=r"does not normalize PSp4\(L0, K0\): \[v, 1\]$"):
+            build_group_from_M(StructureData(proper, actions))
+
+
 @pytest.mark.parametrize("gens", [1, 2])
 def test_the_torus_search_over_unordered_pairs_matches_ordered_pairs(gens):
     proper = proper_spec()
     _, u, v = proper.ctx.gens()
     one = proper.ctx.one()
-    actions = [(v, one), (u, one)][:gens]
+    actions = [(u, one), (one, v * v)][:gens]
     group = build_group_from_M(StructureData(proper, actions))
     hs = torus_matrices(group)
     pool = hs + [h.inverse() for h in hs]
