@@ -100,11 +100,12 @@ def _cmd_lambda(args) -> int:
         tup = [parse_element(s, ctx) for s in args.tuple.split(",")]
     else:
         tup = list(ctx.gens())
-    coords = pbasis.lambda_coords(tup, x, ctx)
+    basis = pbasis.PBasis(tup, ctx)
+    coords = basis.coords(x)
     _emit({
         "element": render_element(x),
         "tuple": [render_element(a) for a in tup],
-        "independent": pbasis.is_p_independent(tup, (), ctx),
+        "independent": basis.independent,
         "defined": coords.defined,
         "coords": [render_element(c) for c in coords] if coords.defined else None,
     }, args)

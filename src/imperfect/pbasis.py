@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import _linalg
 from .field import Context, FieldError, RatFunc, SparsePoly, frobenius, prod
@@ -72,15 +72,17 @@ class LambdaCoords:
         return self.coords[i]
 
 
-def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
+def lambda_numerators(b: RatFunc) -> Dict[int, SparsePoly]:
     """Coordinates of b relative to the ambient variable p-basis (x_1, ..., x_n),
-    scaled by b.den: polynomials, made without any linear algebra or gcd.
+    scaled by b.den: the nonzero ones, as a sparse vector {i: polynomial} of
+    length p^n, made without any linear algebra or gcd.
 
     Write b = N / den^p with N = num * den^(p-1), split the terms of N by the
     residues of their exponent vectors mod p, and divide exponents by p; F_p
     coefficients are fixed by the p-th power map. Coordinate i is then the
     i-th polynomial over den, for any num / den equal to b, reduced or not,
     i being the residue vector read in base p (see monomial_exponents).
+    Only the residues that occur get an entry.
     The scaling changes no answer about membership in a K-span.
     """
     ctx = b.ctx
@@ -88,15 +90,15 @@ def lambda_numerators(b: RatFunc) -> List[SparsePoly]:
     N = b.num
     for _ in range(p - 1):
         N = N * b.den
-    buckets = [{} for _ in range(p ** ctx.n)]
+    buckets = {}
     for e, c in N.terms.items():
         residue = [v % p for v in ctx.unpack(e)]
         i = 0
         for r in reversed(residue):
             i = i * p + r
         # every exponent of N / x^residue is a multiple of p
-        buckets[i][(e - ctx.pack(residue)) // p] = c
-    return [SparsePoly(ctx, terms) for terms in buckets]
+        buckets.setdefault(i, {})[(e - ctx.pack(residue)) // p] = c
+    return {i: SparsePoly(ctx, terms) for i, terms in buckets.items()}
 
 
 def _partial(f: SparsePoly, k: int) -> SparsePoly:
@@ -112,20 +114,22 @@ def _partial(f: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly(ctx, out)
 
 
-def differential(b: RatFunc) -> List[SparsePoly]:
-    """(db/dx_1, ..., db/dx_n) scaled by b.den^2: polynomials, made without any gcd.
+def differential(b: RatFunc) -> Dict[int, SparsePoly]:
+    """(db/dx_1, ..., db/dx_n) scaled by b.den^2: the nonzero entries, as a
+    sparse vector {k: polynomial} of length n, made without any gcd.
 
     By the quotient rule den^2 * d(num/den) = d(num) * den - num * d(den).
     The scaling changes no answer about independence or membership in a K-span.
     """
     ctx = b.ctx
     num, den = b.num, b.den
-    out = []
+    out = {}
     for k in range(ctx.n):
         d = _partial(num, k)
         if not den.is_one():
             d = d * den - num * _partial(den, k)
-        out.append(d)
+        if d:
+            out[k] = d
     return out
 
 
@@ -150,7 +154,8 @@ class PBasis:
     @cached_property
     def _span(self) -> _linalg.ColumnSpace:
         one = self.ctx.const_poly(1)
-        return _linalg.ColumnSpace([(differential(g), one) for g in self.gens], self.ctx)
+        columns = [(differential(g), one) for g in self.gens]
+        return _linalg.ColumnSpace(columns, self.ctx.n, self.ctx)
 
     @cached_property
     def independent(self) -> bool:
@@ -166,7 +171,7 @@ class PBasis:
     @cached_property
     def _system(self) -> _linalg.ColumnSpace:
         columns = [(lambda_numerators(m), m.den) for m in self.monomials]
-        return _linalg.ColumnSpace(columns, self.ctx)
+        return _linalg.ColumnSpace(columns, self.ctx.p ** self.ctx.n, self.ctx)
 
     def contains(self, x: RatFunc) -> bool:
         """Whether x lies in K^p[a]: dx lies in the span of the da_i."""
@@ -229,4 +234,4 @@ def is_p_independent(
     rows = list(over_gens) + list(c)
     if len(rows) > ctx.n:
         return False
-    return len(_linalg.pivots([differential(x) for x in rows])) == len(rows)
+    return len(_linalg.pivots([differential(x) for x in rows], ctx.n, ctx)) == len(rows)

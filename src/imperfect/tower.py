@@ -99,7 +99,7 @@ class RSpaceSpec:
         columns = [(lambda_numerators(x), x.den) for x in products]
         # one elimination validates the basis, answers every query and gives
         # the equations that the stabilizer is computed from
-        self._space = _linalg.ColumnSpace(columns, self.ctx)
+        self._space = _linalg.ColumnSpace(columns, self.ctx.p ** self.ctx.n, self.ctx)
         if not self._space.ok:
             raise SpecError("basis is not linearly independent over the scalar field", name)
 
@@ -217,16 +217,24 @@ def _stabilizer_vectors(R: RSpaceSpec, xs: PBasis) -> List[List[RatFunc]]:
     for b in R.basis:
         products = [RatFunc(ctx, m.num * b.num, b.den, reduce=False) for m in xs.monomials]
         values = [list(R._space.residuals(lambda_numerators(x))) for x in products]
-        rows += [list(row) for row in zip(*values)]
+        rows += [{r: v for r, v in enumerate(row) if v} for row in zip(*values)]
     return _linalg.nullspace(rows, xs.dim_over_p, ctx)
 
 
-def _greedy_gens(candidates: Sequence[RatFunc]) -> List[RatFunc]:
+def _differential_pivots(elements: Sequence[RatFunc], ctx: Context) -> List[int]:
+    """The pivot columns of the n-row matrix with the elements' differentials as columns."""
+    rows = [{} for _ in range(ctx.n)]
+    for c, x in enumerate(elements):
+        for k, e in differential(x).items():
+            rows[k][c] = e
+    return _linalg.pivots(rows, len(elements), ctx)
+
+
+def _greedy_gens(candidates: Sequence[RatFunc], ctx: Context) -> List[RatFunc]:
     """A p-basis of K^p[candidates]: each candidate in turn that is
     p-independent over the ones before it, that is, whose differential is a
     pivot column of the matrix with the candidates' differentials as columns."""
-    rows = [list(row) for row in zip(*[differential(a) for a in candidates])]
-    return [candidates[c] for c in _linalg.pivots(rows)]
+    return [candidates[c] for c in _differential_pivots(candidates, ctx)]
 
 
 def stabilizer_field(R: RSpaceSpec) -> SubfieldSpec:
@@ -249,7 +257,7 @@ def stabilizer_field(R: RSpaceSpec) -> SubfieldSpec:
             a = RatFunc(ctx, num, ctx.const_poly(1))
         elements.append(a)
     elements.sort(key=lambda a: (a.num.total_degree(), render_element(a)))
-    got = SubfieldSpec(f"stab({R.name})", _greedy_gens(elements), ctx)
+    got = SubfieldSpec(f"stab({R.name})", _greedy_gens(elements, ctx), ctx)
     if len(vecs) != got.dim_over_p:
         raise InvariantViolation(
             f"stabilizer of {R.name} is not a field presentation: "
@@ -286,9 +294,9 @@ def _dependent_prefix(F: SubfieldSpec, rest: Sequence[RatFunc]) -> List[RatFunc]
     p-independent, so their columns are pivots, and the prefix ends at the
     first b whose column is not.
     """
-    cols = [differential(x) for x in (*F.gens, *rest)]
-    pivots = _linalg.pivots([list(row) for row in zip(*cols)])
-    free = next((c for c in range(len(cols)) if c not in pivots), None)
+    elements = (*F.gens, *rest)
+    pivots = _differential_pivots(elements, F.ctx)
+    free = next((c for c in range(len(elements)) if c not in pivots), None)
     return [] if free is None else list(rest[: free - len(F.gens) + 1])
 
 
@@ -433,7 +441,7 @@ def validate_indifferent(spec: IndifferentSpec) -> ValidationReport:
     )
 
     if not spec.weak:
-        gens = _greedy_gens(spec.E0.gens + spec.K0.basis)
+        gens = _greedy_gens(spec.E0.gens + spec.K0.basis, ctx)
         report.add(
             "K0-generates-K",
             len(gens) == ctx.n,

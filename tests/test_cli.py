@@ -110,6 +110,37 @@ def test_lambda_coords(capsys):
     assert payload["coords"] is None
 
 
+def test_lambda_decides_p_independence_once(capsys, monkeypatch):
+    """One PBasis answers both `independent` and `coords`: a defined run
+    eliminates the Jacobian span and the p^m system, an undefined one the
+    span alone, one elimination fewer than when a separate
+    is_p_independent call decided `independent` again."""
+    from imperfect import _linalg
+
+    calls = []
+    real = _linalg._gauss_jordan
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_linalg, "_gauss_jordan", counted)
+    code, out, _ = run(capsys, "lambda", "t^3*u+1/(t+u)", "--tuple", "t,u")
+    assert code == 0
+    assert calls == [2, 4]  # was [2, 4, 2]
+    assert out == (
+        '{\n  "coords": [\n    "0",\n    "1/(u+t)",\n    "1/(u+t)",\n    "t"\n  ],\n'
+        '  "defined": true,\n  "element": "(t^3*u^2+t^4*u+1)/(u+t)",\n'
+        '  "independent": true,\n  "tuple": [\n    "t",\n    "u"\n  ]\n}\n'
+    )
+    calls.clear()
+    code, out, _ = run(capsys, "lambda", "t^2+u", "--tuple", "u^2+t")
+    assert code == 0
+    assert calls == [1]  # was [1, 1]
+    assert json.loads(out)["independent"] is True
+    assert json.loads(out)["defined"] is False
+
+
 def test_tower_validate_presets(capsys):
     code, out, _ = run(capsys, "tower", "validate", "tower-simple")
     assert code == 0

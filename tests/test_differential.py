@@ -24,6 +24,7 @@ from imperfect.pbasis import (
     p_monomial,
 )
 from imperfect.tower import SpecError, SubfieldSpec, _greedy_gens
+from oracles import dense
 
 NAMES = ("s", "t", "v")
 CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
@@ -31,12 +32,11 @@ CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
 MAX_COLUMNS = 27
 
 
-def columns_independent(columns):
-    """Whether polynomial columns are linearly independent."""
-    if not columns:
-        return True
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return len(_linalg.pivots(rows)) == len(columns)
+def columns_independent(columns, ctx):
+    """Whether sparse polynomial columns of length p^n are linearly independent."""
+    rows = [{c: col[i] for c, col in enumerate(columns) if i in col}
+            for i in range(ctx.p ** ctx.n)]
+    return len(_linalg.pivots(rows, len(columns), ctx)) == len(columns)
 
 
 def old_is_p_independent(c, over_gens, ctx):
@@ -52,13 +52,13 @@ def old_is_p_independent(c, over_gens, ctx):
         for i in range(p ** len(c)):
             # the ambient coordinates scaled by the element's denominator
             columns.append(lambda_numerators(ml * p_monomial(ctx, i, c)))
-    return columns_independent(columns)
+    return columns_independent(columns, ctx)
 
 
 def lambda_space(gens, ctx):
     """K^p[gens] as the span of the ambient coordinates of its p-monomials."""
     monomials = [p_monomial(ctx, l, gens) for l in range(ctx.p ** len(gens))]
-    return ColumnSpace([(lambda_numerators(m), m.den) for m in monomials], ctx)
+    return ColumnSpace([(lambda_numerators(m), m.den) for m in monomials], ctx.p ** ctx.n, ctx)
 
 
 def small(rng, ctx, nonzero=False):
@@ -109,7 +109,7 @@ def split_sizes(ctx):
 def derivative(x):
     """d(x) as RatFuncs: differential(x) divided by x.den^2 again."""
     den2 = x.den * x.den
-    return [RatFunc(x.ctx, e, den2) for e in differential(x)]
+    return [RatFunc(x.ctx, e, den2) for e in dense(differential(x), x.ctx.n, x.ctx)]
 
 
 @pytest.mark.parametrize("p,n", CASES)
@@ -128,7 +128,7 @@ def test_differential_is_the_derivation(p, n):
         x = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
         x = x / (ctx.gens()[-1] + frobenius(small(rng, ctx)))
         y = ctx.rand_ratfunc(rng, max_deg=1, max_terms=2)
-        assert all(isinstance(e, SparsePoly) for e in differential(x))
+        assert all(isinstance(e, SparsePoly) and e for e in differential(x).values())
         dx, dy = derivative(x), derivative(y)
         assert derivative(x + y) == [a + b for a, b in zip(dx, dy)]
         assert derivative(x * y) == [x * b + y * a for a, b in zip(dx, dy)]
@@ -260,7 +260,7 @@ def test_greedy_gens_are_the_pivots_of_one_elimination(p, n):
             candidates = tuple(rand_tuple(rng, ctx, size))
             if size > 2 and rng.random() < 0.5:
                 candidates += (ctx.zero(), ctx.one())
-            got = _greedy_gens(candidates)
+            got = _greedy_gens(candidates, ctx)
             assert got == old_greedy_gens(candidates, ctx), candidates
             sizes.add(len(got))
     assert sizes == set(range(n + 1))

@@ -17,7 +17,7 @@ from imperfect._linalg import ColumnSpace
 from imperfect.field import Context, frobenius
 from imperfect.pbasis import LambdaCoords, lambda_coords, p_monomial, reconstruct
 from imperfect.tower import RSpaceSpec, SpecError, SubfieldSpec
-from oracles import cleared, lambda_ambient, rank
+from oracles import cleared, dense, dense_gauss_jordan, lambda_ambient, rank, sparse
 
 NAMES = ("s", "t", "v")
 CASES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
@@ -135,7 +135,7 @@ def test_column_space_matches_fresh_elimination(p, n):
         if trial % 2:
             # a combination of the others makes the set dependent
             columns.append(combine(columns, rand_coeffs(rng, ctx, w), ctx))
-        space = ColumnSpace([cleared(c) for c in columns], ctx)
+        space = ColumnSpace([cleared(c) for c in columns], p ** n, ctx)
         assert space.ok == (rank([list(r) for r in zip(*columns)]) == len(columns))
         seen["independent" if space.ok else "dependent"] += 1
         for _ in range(4):
@@ -159,11 +159,11 @@ def test_residuals_cut_out_the_span(p, n):
         # for p^n <= 3 the last trial spans everything: there are no forms
         w = size if trial == 3 and size <= 3 else rng.randint(1, min(3, size - 1))
         columns = [rand_vector(rng, ctx) for _ in range(w)]
-        space = ColumnSpace([cleared(c) for c in columns], ctx)
+        space = ColumnSpace([cleared(c) for c in columns], size, ctx)
         if not space.ok:
             continue
-        units = [[ctx.const_poly(int(k == j)) for k in range(size)] for j in range(size)]
-        forms = [list(row) for row in zip(*[list(space.residuals(e)) for e in units])]
+        units = [{j: ctx.const_poly(1)} for j in range(size)]
+        forms = [sparse(row) for row in zip(*[list(space.residuals(e)) for e in units])]
         assert len(forms) == size - w
         kernel = _linalg.nullspace(forms, size, ctx)
         assert _rref(kernel)[0] == _rref(columns)[0]
@@ -233,9 +233,63 @@ def test_nullspace_divides_each_row_by_its_content():
     f = s * s + t + one
     rows = [[f * s, f * t / (s + one), ctx.zero()], [t, s, one]]
     polys = [cleared(row)[0] for row in rows]
-    assert _linalg._primitive(polys[0]) == [(s * (s + one)).num, t.num, ctx.const_poly(0)]
-    assert _linalg._primitive(polys[1]) == [t.num, s.num, ctx.const_poly(1)]
+    assert _linalg._primitive(polys[0]) == sparse([(s * (s + one)).num, t.num, ctx.const_poly(0)])
+    assert _linalg._primitive(polys[1]) == sparse([t.num, s.num, ctx.const_poly(1)])
     assert _linalg.nullspace(polys, 3, ctx) == rref_nullspace(rows, 3, ctx)
+
+
+def rand_sparse_matrix(rng, ctx, nrows, width):
+    """Polynomial rows, each entry zero with probability 0.6, and more rows
+    that are polynomial combinations of the first ones."""
+    zero = ctx.const_poly(0)
+    rows = [[ctx.rand_poly(rng, 2, 3) if rng.random() < 0.4 else zero for _ in range(width)]
+            for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        factors = [ctx.rand_poly(rng, 1, 2) for _ in rows]
+        rows.append([sum((f * row[k] for f, row in zip(factors, rows)), zero)
+                     for k in range(width)])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_sparse_elimination_matches_the_dense_oracle(p, n):
+    """_gauss_jordan on sparse rows gives the dense oracle's pivots, d and
+    d * RREF, entry for entry, on zero rows and columns, on the empty
+    matrix, and with pivots sought in fewer columns than the width, as
+    ColumnSpace seeks them left of its augmented part."""
+    ctx = Context(p, NAMES[:n])
+    rng = random.Random(1100 * p + n)
+    one = ctx.const_poly(1)
+    assert _linalg._gauss_jordan([], 0, one) == ([], [], one)
+    assert _linalg._gauss_jordan([{}, {}], 3, one) == ([{}, {}], [], one)
+    seen = set()
+    for trial in range(24):
+        nrows, width = rng.randint(0, 5), rng.randint(0, 6)
+        rows = rand_sparse_matrix(rng, ctx, nrows, width)
+        ncols = width
+        if trial % 3 == 0 and rows:
+            rows[rng.randrange(len(rows))] = [ctx.const_poly(0)] * width
+            seen.add("zero row")
+        if trial % 4 == 1 and width:
+            k = rng.randrange(width)
+            for row in rows:
+                row[k] = ctx.const_poly(0)
+            seen.add("zero column")
+        if trial % 2:
+            # ColumnSpace's shape: each row followed by its own nonzero den
+            dens = [ctx.rand_poly(rng, 1, 2) or one for _ in rows]
+            rows = [row + [den if j == i else ctx.const_poly(0) for j in range(len(rows))]
+                    for i, (row, den) in enumerate(zip(rows, dens))]
+            seen.add("augmented")
+        want = dense_gauss_jordan(rows, ncols, one)
+        red, pivots, d = _linalg._gauss_jordan([sparse(row) for row in rows], ncols, one)
+        assert pivots == want[1]
+        assert d == want[2]
+        assert [dense(row, len(rows[0]), ctx) for row in red] == want[0]
+        assert all(x for row in red for x in row.values())
+        seen.add("empty" if not rows or not width else len(pivots) == min(len(rows), ncols))
+    assert seen >= {"zero row", "zero column", "augmented", True, False}, seen
 
 
 @pytest.mark.parametrize("p,n", CASES)
@@ -259,7 +313,7 @@ def test_rank_with_denominators_matches_rref(p, n):
         if trial % 3 == 0:
             rows.append([ctx.zero()] * width)
         fractions += any(not x.den.is_one() for row in rows for x in row)
-        got = _linalg.pivots([cleared(row)[0] for row in rows])
+        got = _linalg.pivots([cleared(row)[0] for row in rows], width, ctx)
         assert got == _rref(rows)[1]
         ranks.add(len(got) == min(len(rows), width))
     assert ranks == {True, False}  # both full and deficient rank were seen
@@ -271,38 +325,38 @@ def test_column_space_entries_with_denominators():
     s, v = ctx.gens()
     one = ctx.one()
     columns = [[one / (s + one), s, ctx.zero()], [v, one / (v * v), s / v]]
-    space = ColumnSpace([cleared(c) for c in columns], ctx)
+    space = ColumnSpace([cleared(c) for c in columns], 3, ctx)
     assert space.ok
     b = combine(columns, [s / (v + one), v * v], ctx)
     nums, den = cleared(b)
     assert space.solve(nums, den) == [s / (v + one), v * v]
     # a scaled query gives the coordinates of the unscaled vector
     f = (s + one).num
-    assert space.solve([x * f for x in nums], den * f) == [s / (v + one), v * v]
-    assert not space.contains([ctx.const_poly(1), ctx.const_poly(0), ctx.const_poly(0)])
+    assert space.solve({k: x * f for k, x in nums.items()}, den * f) == [s / (v + one), v * v]
+    assert not space.contains({0: ctx.const_poly(1)})
 
 
 def test_column_space_without_columns_is_zero():
     ctx = Context(2, ("t",))
     zero, one = ctx.const_poly(0), ctx.const_poly(1)
-    space = ColumnSpace([], ctx)
+    space = ColumnSpace([], 2, ctx)
     assert space.ok
-    assert space.solve([zero, zero], one) == []
-    assert not space.contains([zero, one])
-    assert list(space.residuals([zero, one])) == [zero, one]
+    assert space.solve({}, one) == []
+    assert not space.contains({1: one})
+    assert list(space.residuals({1: one})) == [zero, one]
 
 
 def test_column_space_of_a_zero_column():
     """No pivot at all: d is 1, the span is {0} and the residuals are b itself."""
     ctx = Context(3, ("s", "v"))
     s, v = ctx.gens()
-    zero, one = ctx.const_poly(0), ctx.const_poly(1)
-    space = ColumnSpace([([zero] * 3, one)], ctx)
+    one = ctx.const_poly(1)
+    space = ColumnSpace([({}, one)], 3, ctx)
     assert not space.ok
     b = cleared([s, ctx.zero(), ctx.one() / (v + ctx.one())])[0]
-    assert list(space.residuals(b)) == b
+    assert list(space.residuals(b)) == dense(b, 3, ctx)
     assert not space.contains(b)
-    assert space.solve([zero] * 3, one) == [ctx.zero()]
+    assert space.solve({}, one) == [ctx.zero()]
 
 
 def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
@@ -330,7 +384,7 @@ def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
     for rows in matrices:
         transposed = [list(c) for c in zip(*rows)]
         for columns in (rows, transposed, rows[:3]):
-            space = ColumnSpace([cleared(c) for c in columns], ctx)
+            space = ColumnSpace([cleared(c) for c in columns], 4, ctx)
             assert space.ok == (rank(columns) == len(columns))
             verdicts.add(space.ok)
             coeffs = rand_coeffs(pick, ctx, len(columns))
@@ -339,7 +393,7 @@ def test_column_space_on_matrices_that_stalled_fraction_reducing_elimination():
             assert space.contains(nums)
             if columns is transposed:
                 # the zero row leaves every column's last coordinate zero
-                assert not space.contains(nums[:3] + [den])
+                assert not space.contains({**nums, 3: den})
                 continue
             got = space.solve(nums, den)
             assert combine(columns, got, ctx) == member

@@ -7,6 +7,7 @@ from imperfect.pbasis import (
     PBasis,
     is_p_independent,
     lambda_coords,
+    lambda_numerators,
     monomial_exponents,
     p_monomial,
     reconstruct,
@@ -179,7 +180,8 @@ def test_coords_are_unique():
 @pytest.mark.parametrize("names", (("t",), ("t", "u"), ("t", "u", "v")), ids=len)
 def test_ambient_coordinates_round_trip(p, names):
     """The sum of p-th powers times the variable p-monomials undoes the residue
-    split of lambda_numerators, which shares no code with it."""
+    split of lambda_numerators, which shares no code with it and keeps only
+    nonzero coordinates."""
     ctx = Context(p, names)
     rng = random.Random(100 * p + len(names))
     fractions = 0
@@ -187,6 +189,7 @@ def test_ambient_coordinates_round_trip(p, names):
         b = ctx.rand_ratfunc(rng, max_deg=p + 1, max_terms=4)
         fractions += not b.den.is_one()
         assert reconstruct(ctx.gens(), lambda_ambient(b), ctx) == b
+        assert all(c for c in lambda_numerators(b).values())
     assert fractions
 
 

@@ -25,7 +25,7 @@ from imperfect.tower import (
     validate_tower,
 )
 from imperfect.unipotent import c2_datum
-from oracles import cleared, lambda_ambient, rank
+from oracles import cleared, lambda_ambient, rank, sparse
 
 
 CTX = Context(2, ("t", "u", "v"))
@@ -374,8 +374,9 @@ def sample_independent_subset(R, rng, k):
     ctx = R.ctx
     one_row = [ctx.one() if b.is_one() else ctx.zero() for b in R.basis]
     coordvecs = [R.rand_coords(rng) for _ in range(k)]
-    rows = [over_one_den([(x.num, x.den) for x in row])[0] for row in [one_row] + coordvecs]
-    if len(_linalg.pivots(rows)) != k + 1:
+    rows = [sparse(over_one_den([(x.num, x.den) for x in row])[0])
+            for row in [one_row] + coordvecs]
+    if len(_linalg.pivots(rows, len(R.basis), ctx)) != k + 1:
         return None
     return [R.evaluate(cv) for cv in coordvecs]
 
@@ -599,7 +600,7 @@ def validate_indifferent_by_products(spec):
     )
 
     if not spec.weak:
-        gens = _greedy_gens(spec.E0.gens + spec.K0.basis)
+        gens = _greedy_gens(spec.E0.gens + spec.K0.basis, ctx)
         report.add(
             "K0-generates-K",
             len(gens) == ctx.n,
